@@ -86,13 +86,13 @@ func TestApplySteadyStateAllocs(t *testing.T) {
 			// The remap-decorated path: mapping indirection plus per-word
 			// fault-repository lookups on every write. No faults are
 			// seeded, so no repairs fire — the guard pins the decorator's
-			// pass-through overhead at zero. The repository cache is
-			// sized above the word footprint: once warm, every lookup is
-			// an existing-key LRU touch and never grows the map.
+			// pass-through overhead at zero. The repository keeps its
+			// default 256-entry descriptor cache: at one shard the batch's
+			// 512-word footprint cycles through it, so every lookup misses
+			// and evicts, and the map churns by delete plus insert.
 			remapped := cfg
 			remapped.RemapSpares = 16
 			remapped.UseFaultRepo = true
-			remapped.FaultRepoCache = 8192
 			testSteadyStateAllocs(t, remapped, readFrac)
 		}
 	}

@@ -484,9 +484,9 @@ func runReplay(mkSource func() (opSource, error), cfg replayConfig) error {
 	}
 	if cfg.spares > 0 {
 		engine += fmt.Sprintf(", %d remap spares/shard", cfg.spares)
-		if cfg.faultRepo {
-			engine += " (fault repo)"
-		}
+	}
+	if cfg.faultRepo {
+		engine += " (fault repo)"
 	}
 	fmt.Printf("engine         %s\n", engine)
 	if cfg.async {
@@ -526,11 +526,11 @@ func runReplay(mkSource func() (opSource, error), cfg replayConfig) error {
 	if cfg.spares > 0 {
 		fmt.Printf("remap          %d lines relocated, %d repair failures, %d spares left\n",
 			st.RemappedLines, st.RepairFailures, eng.SpareLinesLeft())
-		if cfg.faultRepo {
-			fs := eng.FaultRepoStats()
-			fmt.Printf("fault repo     %d stuck cells discovered, %d lookups (%d cache hits)\n",
-				fs.Discovered, fs.Lookups, fs.CacheHits)
-		}
+	}
+	if cfg.faultRepo {
+		fs := eng.FaultRepoStats()
+		fmt.Printf("fault repo     %d stuck cells discovered, %d lookups (%d cache hits)\n",
+			fs.Discovered, fs.Lookups, fs.CacheHits)
 	}
 	for s := 0; s < eng.Shards(); s++ {
 		ss := eng.ShardStats(s)

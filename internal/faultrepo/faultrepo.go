@@ -8,10 +8,13 @@
 // which cells of this word are stuck, and at what values — from a
 // bounded on-chip structure instead of the oracle view the device holds:
 //
-//   - A small fully-associative SRAM cache of per-row fault descriptors
-//     (hot rows hit here at access time).
+//   - A small fully-associative SRAM cache of per-word fault descriptors
+//     (hot words hit here at access time). Replacement is exact LRU, and
+//     a lookup costs O(1) whatever the cache size: a map finds the
+//     word's slot and an intrusive doubly linked list over a fixed slab
+//     keeps recency order.
 //   - A backing table in a reserved memory region holding descriptors
-//     for every faulty row (cache misses model an extra memory access).
+//     for every faulty word (cache misses model an extra memory access).
 //
 // Discovery is write-driven: a verify-after-write (the program-and-check
 // PCM already performs) reports mismatching cells, which the controller
@@ -48,10 +51,18 @@ type Stats struct {
 type Repo struct {
 	mode    pcm.CellMode
 	table   map[int]Descriptor // backing store: word -> descriptor
-	cache   map[int]int        // word -> LRU tick
+	cache   map[int]int32      // word -> slot in nodes
+	nodes   []lruNode          // cached words, linked most recent first
+	head    int32              // most recently used slot (-1 when empty)
+	tail    int32              // least recently used slot (-1 when empty)
 	cacheSz int
-	tick    int
 	Stats   Stats
+}
+
+// lruNode is one descriptor-cache slot in the recency list.
+type lruNode struct {
+	word       int
+	prev, next int32 // neighbouring slots, -1 at either end
 }
 
 // New creates a repository for the given cell mode with a descriptor
@@ -64,7 +75,10 @@ func New(mode pcm.CellMode, cacheWords int) *Repo {
 	return &Repo{
 		mode:    mode,
 		table:   make(map[int]Descriptor),
-		cache:   make(map[int]int),
+		cache:   make(map[int]int32, cacheWords),
+		nodes:   make([]lruNode, 0, cacheWords),
+		head:    -1,
+		tail:    -1,
 		cacheSz: cacheWords,
 	}
 }
@@ -78,9 +92,9 @@ func (r *Repo) Lookup(word int) (Descriptor, bool) {
 		r.Stats.CacheMiss++
 		return d, false
 	}
-	if _, ok := r.cache[word]; ok {
-		r.tick++
-		r.cache[word] = r.tick
+	if slot, ok := r.cache[word]; ok {
+		r.unlink(slot)
+		r.pushFront(slot)
 		r.Stats.CacheHits++
 		return d, true
 	}
@@ -89,20 +103,49 @@ func (r *Repo) Lookup(word int) (Descriptor, bool) {
 	return d, false
 }
 
+// insert caches word as the most recently used entry, reusing the least
+// recently used slot when the cache is full.
 func (r *Repo) insert(word int) {
-	r.tick++
-	if len(r.cache) >= r.cacheSz {
-		// Evict the least recently used entry.
-		oldest, oldestTick := -1, r.tick+1
-		for w, tk := range r.cache {
-			if tk < oldestTick {
-				oldest, oldestTick = w, tk
-			}
-		}
-		delete(r.cache, oldest)
+	var slot int32
+	if len(r.nodes) < r.cacheSz {
+		slot = int32(len(r.nodes))
+		r.nodes = append(r.nodes, lruNode{})
+	} else {
+		slot = r.tail
+		delete(r.cache, r.nodes[slot].word)
+		r.unlink(slot)
 		r.Stats.Evictions++
 	}
-	r.cache[word] = r.tick
+	r.nodes[slot].word = word
+	r.cache[word] = slot
+	r.pushFront(slot)
+}
+
+// unlink removes slot from the recency list.
+func (r *Repo) unlink(slot int32) {
+	n := &r.nodes[slot]
+	if n.prev >= 0 {
+		r.nodes[n.prev].next = n.next
+	} else {
+		r.head = n.next
+	}
+	if n.next >= 0 {
+		r.nodes[n.next].prev = n.prev
+	} else {
+		r.tail = n.prev
+	}
+}
+
+// pushFront links an unlinked slot in as the most recently used entry.
+func (r *Repo) pushFront(slot int32) {
+	n := &r.nodes[slot]
+	n.prev, n.next = -1, r.head
+	if r.head >= 0 {
+		r.nodes[r.head].prev = slot
+	} else {
+		r.tail = slot
+	}
+	r.head = slot
 }
 
 // Peek returns the known fault descriptor for a word without modeling a

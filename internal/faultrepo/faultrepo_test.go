@@ -178,3 +178,97 @@ func TestNewPanicsOnNegativeCache(t *testing.T) {
 	}()
 	New(pcm.MLC, -1)
 }
+
+// tickLRU is the reference model for the descriptor cache: every entry
+// carries the time of its last use, and a miss on a full cache evicts
+// the entry with the smallest timestamp by scanning them all.
+// Timestamps are unique, so this is an exact LRU.
+type tickLRU struct {
+	size      int
+	tick      int
+	last      map[int]int
+	hits      int64
+	miss      int64
+	evictions int64
+}
+
+func (m *tickLRU) lookup(word int) bool {
+	m.tick++
+	if _, ok := m.last[word]; ok {
+		m.last[word] = m.tick
+		m.hits++
+		return true
+	}
+	m.miss++
+	if len(m.last) >= m.size {
+		oldest, oldestTick := -1, m.tick
+		for w, tk := range m.last {
+			if tk < oldestTick {
+				oldest, oldestTick = w, tk
+			}
+		}
+		delete(m.last, oldest)
+		m.evictions++
+	}
+	m.last[word] = m.tick
+	return false
+}
+
+// TestLRUMatchesTickScanModel drives the repository and the reference
+// model with the same seeded word streams and requires the same hit or
+// miss on every lookup and the same final counters.
+func TestLRUMatchesTickScanModel(t *testing.T) {
+	const lookups = 200_000
+	for _, size := range []int{1, 2, 3, 16, 256} {
+		r := New(pcm.MLC, size)
+		ref := &tickLRU{size: size, last: make(map[int]int)}
+		rng := prng.New(uint64(size))
+		span := 3 * size
+		for i := 0; i < lookups; i++ {
+			w := rng.Intn(span)
+			_, hit := r.Lookup(w)
+			if want := ref.lookup(w); hit != want {
+				t.Fatalf("size %d, lookup %d (word %d): hit=%v, reference %v", size, i, w, hit, want)
+			}
+		}
+		if r.Stats.CacheHits != ref.hits || r.Stats.CacheMiss != ref.miss || r.Stats.Evictions != ref.evictions {
+			t.Errorf("size %d: hits/miss/evictions = %d/%d/%d, reference %d/%d/%d", size,
+				r.Stats.CacheHits, r.Stats.CacheMiss, r.Stats.Evictions, ref.hits, ref.miss, ref.evictions)
+		}
+		if r.Stats.Lookups != lookups {
+			t.Errorf("size %d: lookups = %d, want %d", size, r.Stats.Lookups, lookups)
+		}
+	}
+}
+
+// BenchmarkLookup measures one descriptor-cache lookup at the default
+// 256-entry cache: miss-heavy draws words uniformly over 32 times the
+// cache size, so nearly every lookup evicts; hit-heavy keeps the working
+// set inside the cache.
+func BenchmarkLookup(b *testing.B) {
+	const size = 256
+	for _, bc := range []struct {
+		name string
+		span int
+	}{
+		{"miss-heavy", 32 * size},
+		{"hit-heavy", size / 2},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := prng.New(1)
+			words := make([]int, 4096)
+			for i := range words {
+				words[i] = rng.Intn(bc.span)
+			}
+			r := New(pcm.MLC, size)
+			for _, w := range words {
+				r.Lookup(w)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.Lookup(words[i&(len(words)-1)])
+			}
+		})
+	}
+}
