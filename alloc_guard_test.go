@@ -54,26 +54,22 @@ func testSteadyStateAllocs(t *testing.T, cfg ShardedMemoryConfig, readFrac float
 	apply()
 	apply()
 	if avg := testing.AllocsPerRun(20, apply); avg != 0 {
-		t.Errorf("shards=%d workers=%d cache=%d/%v readfrac=%.2f: steady-state Apply allocates %.2f/op, want 0",
-			cfg.Shards, cfg.Workers, cfg.CacheLines, cfg.CachePolicy, readFrac, avg)
+		t.Errorf("shards=%d cache=%d/%v readfrac=%.2f: steady-state Apply allocates %.2f/op, want 0",
+			cfg.Shards, cfg.CacheLines, cfg.CachePolicy, readFrac, avg)
 	}
 }
 
 // TestApplySteadyStateAllocs pins the steady-state Apply hot paths at
 // zero heap allocations per op — write-only, read-only and mixed
-// streams, at one shard and across a multi-shard worker pool, uncached
-// and behind both cache policies (hits, misses and recycled-entry
-// evictions included).
+// streams, at one shard and across four, uncached and behind both
+// cache policies (hits, misses and recycled-entry evictions included).
 func TestApplySteadyStateAllocs(t *testing.T) {
-	base := func(shards, workers int) ShardedMemoryConfig {
-		return ShardedMemoryConfig{
-			Lines: 1 << 10, Shards: shards, Workers: workers, Seed: 1,
-			NewEncoder: func() Encoder { return NewVCCEncoder(256) },
-		}
-	}
-	for _, tc := range []struct{ shards, workers int }{{1, 1}, {4, 4}} {
+	for _, shards := range []int{1, 4} {
 		for _, readFrac := range []float64{0, 0.5, 1} {
-			cfg := base(tc.shards, tc.workers)
+			cfg := ShardedMemoryConfig{
+				Lines: 1 << 10, Shards: shards, Seed: 1,
+				NewEncoder: func() Encoder { return NewVCCEncoder(256) },
+			}
 			testSteadyStateAllocs(t, cfg, readFrac)
 
 			cached := cfg
@@ -119,7 +115,7 @@ func TestApplySteadyStateAllocsSlicedEncoders(t *testing.T) {
 	} {
 		t.Run(enc.name, func(t *testing.T) {
 			cfg := ShardedMemoryConfig{
-				Lines: 1 << 10, Shards: 2, Workers: 2, Seed: 1,
+				Lines: 1 << 10, Shards: 2, Seed: 1,
 				NewEncoder: enc.mk, SLC: enc.slc,
 			}
 			testSteadyStateAllocs(t, cfg, 0.25)
@@ -194,7 +190,7 @@ func testSteadyStateAllocsAsync(t *testing.T, cfg ShardedMemoryConfig, readFrac 
 func TestSubmitSteadyStateAllocs(t *testing.T) {
 	base := func(shards int) ShardedMemoryConfig {
 		return ShardedMemoryConfig{
-			Lines: 1 << 10, Shards: shards, Workers: shards, Seed: 1,
+			Lines: 1 << 10, Shards: shards, Seed: 1,
 			NewEncoder: func() Encoder { return NewVCCEncoder(256) },
 		}
 	}

@@ -2,13 +2,15 @@ package vcc
 
 // Tests of the public asynchronous submission surface (Session /
 // Ticket): the oracle equivalence of pipelined Submit/Wait against the
-// synchronous Apply path and the sequential engine, at several shard
-// counts and in-flight depths.
+// synchronous Apply path and the directly driven shard backend, at
+// several shard counts and in-flight depths.
 
 import (
 	"bytes"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/shard"
 )
 
 // opWindows carves [0, n) into the variable-size batches used by the
@@ -105,58 +107,65 @@ func readAll(t *testing.T, read func(int, []byte) ([]byte, error), lines int) []
 // TestAsyncApplyOracle is the acceptance criterion of the async
 // redesign: pipelined Submit/Wait at any in-flight depth produces
 // per-op outcomes, final statistics and final device state bit-identical
-// to synchronous Apply — and, at one shard, to the sequential
-// vcc.Memory replaying the same ops one at a time. mixedOps buffers are
-// regenerated per engine because reads write into provided op buffers.
+// to synchronous Apply — and, at one shard, so does synchronous Apply
+// to the shard's Backend driven directly, one op at a time. mixedOps
+// buffers are regenerated per run because reads write into provided op
+// buffers.
 func TestAsyncApplyOracle(t *testing.T) {
 	const lines, nops = 256, 3000
 	cfg := fullConfig(lines, 23)
 	wins := opWindows(nops)
 	for _, shards := range []int{1, 4} {
+		cfg.Shards = shards
 		// Synchronous sharded reference.
-		ref, err := NewShardedMemory(shardedFrom(cfg, shards, 2))
+		syncMem, err := NewShardedMemory(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		refSAW, refData := runWindowsSync(t, ref, mixedOps(nops, lines, 91), wins)
-		refStats := ref.Stats()
-		refLines := readAll(t, ref.Read, lines)
-		ref.Close()
-
-		// Sequential oracle (single-shard only: ShardedMemory at one
-		// shard is pinned bit-identical to Memory, so transitively the
-		// async path must match it too — but check directly).
-		var seqSAW []int
-		var seqData, seqLines [][]byte
+		var ref *shard.Backend
 		if shards == 1 {
-			seq, err := NewMemory(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref = refBackend(t, cfg)
+			checkRef(t, syncMem, ref)
+		}
+		refSAW, refData := runWindowsSync(t, syncMem, mixedOps(nops, lines, 91), wins)
+		refStats := syncMem.eng.Stats()
+		refLines := readAll(t, syncMem.Read, lines)
+		syncMem.Close()
+
+		if shards == 1 {
+			// Sequential oracle: the same ops, then the same final reads,
+			// through the backend one at a time on this goroutine.
 			ops := mixedOps(nops, lines, 91)
-			seqSAW = make([]int, nops)
-			seqData = make([][]byte, nops)
 			for i := range ops {
 				if ops[i].Kind == OpWrite {
-					if seqSAW[i], err = seq.Write(ops[i].Line, ops[i].Data); err != nil {
+					saw, err := ref.WriteLine(ops[i].Line, ops[i].Data)
+					if err != nil {
 						t.Fatal(err)
+					}
+					if saw != refSAW[i] {
+						t.Fatalf("op %d: sync Apply SAW %d, sequential oracle %d", i, refSAW[i], saw)
 					}
 					continue
 				}
-				b, err := seq.Read(ops[i].Line, nil)
+				b, err := ref.ReadLine(ops[i].Line, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				seqData[i] = bytes.Clone(b)
+				if !bytes.Equal(b, refData[i]) {
+					t.Fatalf("op %d: sync Apply read diverges from sequential oracle", i)
+				}
 			}
-			if got, want := refStats, seq.Stats(); got != want {
-				t.Errorf("sync sharded stats diverge from sequential:\nsharded    %+v\nsequential %+v", got, want)
+			seqLines := readAll(t, ref.ReadLine, lines)
+			for l := range seqLines {
+				if !bytes.Equal(seqLines[l], refLines[l]) {
+					t.Fatalf("line %d: sync Apply contents diverge from sequential oracle", l)
+				}
 			}
-			seqLines = readAll(t, seq.Read, lines)
+			checkRef(t, syncMem, ref)
 		}
 
 		for _, depth := range []int{1, 3, 8} {
-			m, err := NewShardedMemory(shardedFrom(cfg, shards, shards))
+			m, err := NewShardedMemory(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,23 +174,14 @@ func TestAsyncApplyOracle(t *testing.T) {
 				if gotSAW[i] != refSAW[i] || !bytes.Equal(gotData[i], refData[i]) {
 					t.Fatalf("shards=%d depth=%d: op %d outcome diverges from sync Apply", shards, depth, i)
 				}
-				if shards == 1 {
-					want := seqSAW[i]
-					if gotSAW[i] != want || !bytes.Equal(gotData[i], seqData[i]) {
-						t.Fatalf("shards=1 depth=%d: op %d outcome diverges from sequential oracle", depth, i)
-					}
-				}
 			}
-			if got := m.Stats(); got != refStats {
+			if got := m.eng.Stats(); got != refStats {
 				t.Errorf("shards=%d depth=%d: stats diverge:\nasync %+v\nsync  %+v", shards, depth, got, refStats)
 			}
 			gotLines := readAll(t, m.Read, lines)
 			for l := 0; l < lines; l++ {
 				if !bytes.Equal(gotLines[l], refLines[l]) {
 					t.Fatalf("shards=%d depth=%d: line %d contents diverge from sync Apply", shards, depth, l)
-				}
-				if shards == 1 && !bytes.Equal(gotLines[l], seqLines[l]) {
-					t.Fatalf("shards=1 depth=%d: line %d contents diverge from sequential oracle", depth, l)
 				}
 			}
 			m.Close()
@@ -196,7 +196,7 @@ func TestAsyncCallbackTotals(t *testing.T) {
 	const lines, nops = 128, 2000
 	mk := func() *ShardedMemory {
 		m, err := NewShardedMemory(ShardedMemoryConfig{
-			Lines: lines, Shards: 4, Workers: 4, Seed: 6, FaultRate: 1e-2,
+			Lines: lines, Shards: 4, Seed: 6, FaultRate: 1e-2,
 			NewEncoder: func() Encoder { return NewVCCEncoder(256) },
 		})
 		if err != nil {

@@ -124,25 +124,6 @@ func BenchmarkEncodeComplexityRatio(b *testing.B) {
 	benchEncode(b, vccCodec)
 }
 
-// --- memory write-path benchmark ---------------------------------------
-
-func BenchmarkMemoryWriteLine(b *testing.B) {
-	mem, err := NewMemory(MemoryConfig{Lines: 4096, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := prng.New(2)
-	buf := make([]byte, LineSize)
-	rng.Fill(buf)
-	b.SetBytes(LineSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mem.Write(i%4096, buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- sharded engine throughput ------------------------------------------
 //
 // BenchmarkShardedWrite reports batched write throughput (bytes/sec;
@@ -174,7 +155,7 @@ func benchShardedWrite(b *testing.B, shards int, slc bool, mk func() Encoder) {
 		batchSize = 1024
 	)
 	mem, err := NewShardedMemory(ShardedMemoryConfig{
-		Lines: lines, Shards: shards, Workers: shards,
+		Lines: lines, Shards: shards,
 		NewEncoder: mk, SLC: slc, Seed: 1,
 	})
 	if err != nil {
@@ -230,7 +211,7 @@ func BenchmarkShardedMixed(b *testing.B) {
 		for _, shards := range []int{1, 4} {
 			b.Run(fmt.Sprintf("readfrac=%.2f/shards=%d", readFrac, shards), func(b *testing.B) {
 				mem, err := NewShardedMemory(ShardedMemoryConfig{
-					Lines: lines, Shards: shards, Workers: shards, Seed: 1,
+					Lines: lines, Shards: shards, Seed: 1,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -289,7 +270,7 @@ func BenchmarkShardedCached(b *testing.B) {
 		for _, shards := range []int{1, 4} {
 			b.Run(fmt.Sprintf("%s/shards=%d", variant.name, shards), func(b *testing.B) {
 				mem, err := NewShardedMemory(ShardedMemoryConfig{
-					Lines: lines, Shards: shards, Workers: shards, Seed: 1,
+					Lines: lines, Shards: shards, Seed: 1,
 					CacheLines:  variant.cacheLines,
 					CachePolicy: variant.policy,
 				})
@@ -351,7 +332,7 @@ func BenchmarkShardedAsync(b *testing.B) {
 		for _, shards := range []int{1, 4} {
 			b.Run(fmt.Sprintf("inflight=%d/shards=%d", depth, shards), func(b *testing.B) {
 				mem, err := NewShardedMemory(ShardedMemoryConfig{
-					Lines: lines, Shards: shards, Workers: shards, Seed: 1,
+					Lines: lines, Shards: shards, Seed: 1,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -436,7 +417,7 @@ func BenchmarkShardedMultiProducer(b *testing.B) {
 		for _, queueDepth := range []int{1, 8, 32} {
 			b.Run(fmt.Sprintf("producers=%d/qdepth=%d", producers, queueDepth), func(b *testing.B) {
 				mem, err := NewShardedMemory(ShardedMemoryConfig{
-					Lines: lines, Shards: shards, Workers: shards, Seed: 1,
+					Lines: lines, Shards: shards, Seed: 1,
 					QueueDepth: queueDepth,
 				})
 				if err != nil {
@@ -539,7 +520,7 @@ func BenchmarkShardedRead(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			mem, err := NewShardedMemory(ShardedMemoryConfig{
-				Lines: lines, Shards: shards, Workers: shards, Seed: 1,
+				Lines: lines, Shards: shards, Seed: 1,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -552,37 +533,18 @@ func BenchmarkShardedRead(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			reqs := make([]ReadRequest, batchSize)
-			for i := range reqs {
-				reqs[i] = ReadRequest{Line: (i * 5) % lines, Dst: make([]byte, LineSize)}
+			ops := make([]Op, batchSize)
+			for i := range ops {
+				ops[i] = Op{Kind: OpRead, Line: (i * 5) % lines, Data: make([]byte, LineSize)}
 			}
+			outs := make([]Outcome, batchSize)
 			b.SetBytes(int64(batchSize) * LineSize)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := mem.ReadBatch(reqs); err != nil {
+				if outs, err = mem.Apply(ops, outs); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkMemoryReadLine(b *testing.B) {
-	mem, err := NewMemory(MemoryConfig{Lines: 1024, Seed: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]byte, LineSize)
-	rng := prng.New(4)
-	rng.Fill(buf)
-	for l := 0; l < 1024; l++ {
-		mem.Write(l, buf)
-	}
-	b.SetBytes(LineSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mem.Read(i%1024, buf); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -452,7 +452,7 @@ func benches() []bench {
 	objES := coset.ObjEnergySAW
 	mkShard := func(shards, cacheLines int, policy vcc.CachePolicy) vcc.ShardedMemoryConfig {
 		return vcc.ShardedMemoryConfig{
-			Lines: lines, Shards: shards, Workers: shards, Seed: 1,
+			Lines: lines, Shards: shards, Seed: 1,
 			CacheLines: cacheLines, CachePolicy: policy,
 		}
 	}

@@ -8,7 +8,7 @@
 //	tracegen -list
 //	tracegen -bench lbm_s -n 100000 -seed 7 -o lbm.vcct
 //	tracegen -bench mcf_s -n 1000 -stats   # print address statistics only
-//	tracegen -bench lbm_s -n 100000 -replay -shards 4 -workers 4
+//	tracegen -bench lbm_s -n 100000 -replay -shards 4
 //	tracegen -replay -in lbm.vcct -shards 8 -encoder rcc
 //	tracegen -bench mcf_s -n 100000 -replay -readfrac -1   # mixed ops at the spec's read fraction
 //	tracegen -replay -mix "seq:0.5,zipf:0.4,chase:0.1" -readfrac 0.6 -n 100000
@@ -63,7 +63,6 @@ func main() {
 		zipfS    = flag.Float64("zipfs", 1.2, "replay -mix: Zipf skew of the zipf pattern")
 		stride   = flag.Int("stride", 64, "replay -mix: stride of the stride pattern")
 		shards   = flag.Int("shards", 1, "replay: shard count")
-		workers  = flag.Int("workers", 0, "replay: worker pool bound (default min(shards, GOMAXPROCS))")
 		memLine  = flag.Int("lines", 1<<16, "replay: memory capacity in cache lines")
 		batch    = flag.Int("batch", 256, "replay: writes per dispatched batch")
 		encoder  = flag.String("encoder", "vcc", "replay: vcc|vccgen|rcc|fnw|flipcy|none")
@@ -125,7 +124,7 @@ func main() {
 			os.Exit(2)
 		}
 		cfg := replayConfig{
-			shards: *shards, workers: *workers, lines: *memLine, batch: *batch,
+			shards: *shards, lines: *memLine, batch: *batch,
 			encoder: *encoder, fault: *fault, slc: *slc, seed: *seed,
 			spares: *spares, faultRepo: *frepo,
 			readFrac: *rfrac,
@@ -210,11 +209,11 @@ func main() {
 
 // replayConfig bundles the replay-mode flags.
 type replayConfig struct {
-	shards, workers, lines, batch int
-	encoder                       string
-	fault                         float64
-	slc                           bool
-	seed                          uint64
+	shards, lines, batch int
+	encoder              string
+	fault                float64
+	slc                  bool
+	seed                 uint64
 	// spares enables the per-shard fault-remapping decorator with that
 	// many spare lines; faultRepo adds the write-driven stuck-cell
 	// repository that informs spare selection and in-place retries.
@@ -397,7 +396,6 @@ func buildEngine(cfg replayConfig) (*shard.Engine, error) {
 	scfg := shard.Config{
 		Lines:        cfg.lines,
 		Shards:       cfg.shards,
-		Workers:      cfg.workers,
 		NewCodec:     mk,
 		Objective:    coset.ObjEnergySAW,
 		SLC:          cfg.slc,
@@ -478,7 +476,7 @@ func runReplay(mkSource func() (opSource, error), cfg replayConfig) error {
 	reads := st.LineReads + st.CacheHits
 	total := writes + reads
 	fmt.Printf("replayed       %d ops (%d writes, %d reads)\n", total, writes, reads)
-	engine := fmt.Sprintf("%d shard(s), %d worker(s), %s encoder", eng.Shards(), eng.Workers(), cfg.encoder)
+	engine := fmt.Sprintf("%d shard(s), %s encoder", eng.Shards(), cfg.encoder)
 	if cfg.cache {
 		engine += fmt.Sprintf(", %d-line %s cache/shard", cfg.cacheLines, cfg.cachePolicy)
 	}

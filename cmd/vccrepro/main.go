@@ -21,11 +21,11 @@
 // stating the paper claim each experiment is expected to reproduce and
 // any substitution involved (see DESIGN.md and EXPERIMENTS.md).
 //
-// -workers parallelizes across experiments (each driver is independent
-// and deterministic, so output is identical to a sequential run and is
-// printed in id order; with -workers > 1 tables are buffered until the
-// batch completes). -shards and -workers also parameterize the
-// sharded-replay driver itself.
+// -workers fans experiments out in parallel and means nothing else
+// (each driver is independent and deterministic, so output is identical
+// to a sequential run and is printed in id order; with -workers > 1
+// tables are buffered until the batch completes). -shards parameterizes
+// the sharded-replay drivers and the campaigns.
 package main
 
 import (
@@ -51,7 +51,7 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "master seed")
 		csvDir   = flag.String("csv", "", "also write results as CSV files into this directory")
 		shards   = flag.Int("shards", 1, "shard count for sharded-replay experiments")
-		workers  = flag.Int("workers", 1, "worker pool bound: parallel experiments and sharded replay")
+		workers  = flag.Int("workers", 1, "experiments to run in parallel (output is identical at any value)")
 		cacheLn  = flag.Int("cachelines", 0, "per-shard decoded-line cache capacity for experiments that honor it (workload-sweep); 0 = uncached")
 		cachePl  = flag.String("cachepolicy", "wt", "cache write policy with -cachelines: writethrough|wt|writeback|wb")
 		inFlight = flag.Int("inflight", 0, "issue op streams asynchronously with this many tickets in flight, for experiments that honor it (workload-sweep); 0 = synchronous Apply")
@@ -70,8 +70,7 @@ func main() {
 	}
 	if *camp != "" {
 		runCampaign(*camp, campaign.Params{
-			Seed: *seed, Shards: *shards, Workers: *workers,
-			Lines: *lines, Horizon: *horizon,
+			Seed: *seed, Shards: *shards, Lines: *lines, Horizon: *horizon,
 		}, *history)
 		return
 	}
@@ -104,7 +103,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "vccrepro: %v\n", err)
 		os.Exit(2)
 	}
-	opts := experiments.Opts{Mode: m, Seed: *seed, Shards: *shards, Workers: *workers,
+	opts := experiments.Opts{Mode: m, Seed: *seed, Shards: *shards,
 		CacheLines: *cacheLn, CachePolicy: policy, InFlight: *inFlight}
 	start := time.Now()
 	emit := func(id string, res *experiments.Result) {

@@ -10,13 +10,13 @@
 //	vccserve -addr 127.0.0.1:7421 -http 127.0.0.1:7422 -encoder vccgen
 //	vccserve -addr :7421 -chaos 0.3 -chaostorn 0.1 -maxinflight 16
 //
-// The engine flags mirror vccrepro/tracegen: shard count, worker
-// bound, per-shard queue depth, decoded-line cache, remap spares and
-// fault injection all configure the same ShardedMemoryConfig the
-// in-process experiments use. Tenants split the line address space
-// into equal disjoint slices; clients bind to a tenant with the HELLO
-// verb and address lines tenant-relatively (see internal/server for
-// the wire protocol). SIGINT/SIGTERM shut down gracefully: in-flight
+// The engine flags mirror vccrepro/tracegen: shard count, per-shard
+// queue depth, decoded-line cache, remap spares and fault injection
+// all configure the same ShardedMemoryConfig the in-process
+// experiments use. Tenants split the line address space into equal
+// disjoint slices; clients bind to a tenant with the HELLO verb and
+// address lines tenant-relatively (see internal/server for the wire
+// protocol). SIGINT/SIGTERM shut down gracefully: in-flight
 // requests drain, then the engine flushes and closes.
 //
 // The -chaos* flags install the deterministic fault-injection
@@ -70,7 +70,6 @@ func main() {
 		httpAddr = flag.String("http", "", "optional HTTP/JSON debug listen address (empty = disabled)")
 		lines    = flag.Int("lines", 1<<16, "memory capacity in cache lines")
 		shards   = flag.Int("shards", 4, "shard count")
-		workers  = flag.Int("workers", 0, "worker pool bound (default min(shards, GOMAXPROCS))")
 		qdepth   = flag.Int("queuedepth", 0, "per-shard issue-queue bound (0 = engine default)")
 		encoder  = flag.String("encoder", "vcc", "vcc|vccgen|rcc|fnw|flipcy|none")
 		slc      = flag.Bool("slc", false, "single-level cells instead of MLC")
@@ -110,7 +109,6 @@ func main() {
 	cfg := vcc.ShardedMemoryConfig{
 		Lines:      *lines,
 		Shards:     *shards,
-		Workers:    *workers,
 		QueueDepth: *qdepth,
 		NewEncoder: newEnc,
 		SLC:        *slc,

@@ -7,14 +7,15 @@ import (
 	vcc "repro"
 )
 
-// ExampleNewMemory shows the end-to-end path: a cache line is encrypted,
-// coset-encoded, programmed into simulated MLC PCM, and read back.
-func ExampleNewMemory() {
-	mem, err := vcc.NewMemory(vcc.MemoryConfig{
-		Lines:     64,
-		Encoder:   vcc.NewVCCEncoder(256),
-		Objective: vcc.OptEnergy,
-		Seed:      1,
+// ExampleNewShardedMemory shows the end-to-end path: a cache line is
+// encrypted, coset-encoded, programmed into simulated MLC PCM, and read
+// back.
+func ExampleNewShardedMemory() {
+	mem, err := vcc.NewShardedMemory(vcc.ShardedMemoryConfig{
+		Lines:      64,
+		NewEncoder: func() vcc.Encoder { return vcc.NewVCCEncoder(256) },
+		Objective:  vcc.OptEnergy,
+		Seed:       1,
 	})
 	if err != nil {
 		panic(err)
@@ -84,10 +85,10 @@ func ExampleShardedMemory_Session() {
 	// writes: 64 reads: 64
 }
 
-// ExampleNewMemory_faultMasking demonstrates the Opt.SAW cost function
-// masking stuck cells that would corrupt an unencoded memory.
-func ExampleNewMemory_faultMasking() {
-	cfg := vcc.MemoryConfig{
+// ExampleNewShardedMemory_faultMasking demonstrates the Opt.SAW cost
+// function masking stuck cells that would corrupt an unencoded memory.
+func ExampleNewShardedMemory_faultMasking() {
+	cfg := vcc.ShardedMemoryConfig{
 		Lines:     256,
 		Objective: vcc.OptSAW,
 		FaultRate: 1e-2,
@@ -95,10 +96,10 @@ func ExampleNewMemory_faultMasking() {
 	}
 	line := bytes.Repeat([]byte{0x5C}, vcc.LineSize)
 
-	cfg.Encoder = vcc.NewUnencoded()
-	plain, _ := vcc.NewMemory(cfg)
-	cfg.Encoder = vcc.NewVCCEncoder(256)
-	encoded, _ := vcc.NewMemory(cfg)
+	cfg.NewEncoder = vcc.NewUnencoded
+	plain, _ := vcc.NewShardedMemory(cfg)
+	cfg.NewEncoder = func() vcc.Encoder { return vcc.NewVCCEncoder(256) }
+	encoded, _ := vcc.NewShardedMemory(cfg)
 
 	var sawPlain, sawVCC int
 	for l := 0; l < 256; l++ {

@@ -47,7 +47,6 @@ func newMemory() *vcc.ShardedMemory {
 	mem, err := vcc.NewShardedMemory(vcc.ShardedMemoryConfig{
 		Lines:      lines,
 		Shards:     4,
-		Workers:    4,
 		QueueDepth: depth, // per-shard backpressure bound
 		NewEncoder: func() vcc.Encoder { return vcc.NewVCCEncoder(256) },
 		Seed:       42,

@@ -3,11 +3,11 @@
 // deployment scenario (non-volatile main memory whose contents must be
 // useless to a physical attacker) made concrete.
 //
-// The store places fixed-size records into cache lines of a vcc.Memory
-// with a 1e-2 stuck-at fault rate, the paper's "extreme wear snapshot".
-// Because the encoder's cost function masks stuck-at-wrong cells, the
-// store keeps returning correct data on a memory that would corrupt
-// roughly a quarter of unencoded lines.
+// The store places fixed-size records into cache lines of a
+// vcc.ShardedMemory with a 1e-2 stuck-at fault rate, the paper's
+// "extreme wear snapshot". Because the encoder's cost function masks
+// stuck-at-wrong cells, the store keeps returning correct data on a
+// memory that would corrupt roughly a quarter of unencoded lines.
 //
 // Run with: go run ./examples/encrypted_store
 package main
@@ -42,12 +42,12 @@ func unmarshal(b []byte) record {
 
 // store maps keys to lines with open addressing over the memory.
 type store struct {
-	mem   *vcc.Memory
+	mem   *vcc.ShardedMemory
 	index map[[16]byte]int
 	next  int
 }
 
-func newStore(mem *vcc.Memory) *store {
+func newStore(mem *vcc.ShardedMemory) *store {
 	return &store{mem: mem, index: make(map[[16]byte]int)}
 }
 
@@ -95,12 +95,12 @@ func (s *store) Get(key string) ([]byte, error) {
 }
 
 func main() {
-	mem, err := vcc.NewMemory(vcc.MemoryConfig{
-		Lines:     512,
-		Encoder:   vcc.NewVCCEncoder(256),
-		Objective: vcc.OptSAW, // mask faults first, save energy second
-		FaultRate: 1e-2,       // the paper's extreme-wear snapshot
-		Seed:      2024,
+	mem, err := vcc.NewShardedMemory(vcc.ShardedMemoryConfig{
+		Lines:      512,
+		NewEncoder: func() vcc.Encoder { return vcc.NewVCCEncoder(256) },
+		Objective:  vcc.OptSAW, // mask faults first, save energy second
+		FaultRate:  1e-2,       // the paper's extreme-wear snapshot
+		Seed:       2024,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -17,8 +17,8 @@ import (
 const lines = 2048
 
 func run(enc vcc.Encoder, obj vcc.Objective, seed uint64) (energyPJ float64, saw int64) {
-	mem, err := vcc.NewMemory(vcc.MemoryConfig{
-		Lines: lines, Encoder: enc, Objective: obj,
+	mem, err := vcc.NewShardedMemory(vcc.ShardedMemoryConfig{
+		Lines: lines, NewEncoder: func() vcc.Encoder { return enc }, Objective: obj,
 		FaultRate: 1e-2, Seed: seed,
 	})
 	if err != nil {

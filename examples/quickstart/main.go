@@ -14,11 +14,13 @@ import (
 )
 
 func main() {
-	mem, err := vcc.NewMemory(vcc.MemoryConfig{
-		Lines:     1024,                   // 64 KiB of simulated MLC PCM
-		Encoder:   vcc.NewVCCEncoder(256), // the paper's VCC(64,256,16)
-		Objective: vcc.OptEnergy,          // minimize energy, then SAW
-		Seed:      42,
+	mem, err := vcc.NewShardedMemory(vcc.ShardedMemoryConfig{
+		Lines: 1024, // 64 KiB of simulated MLC PCM
+		// The paper's VCC(64,256,16); a factory, since each shard owns
+		// its own encoder.
+		NewEncoder: func() vcc.Encoder { return vcc.NewVCCEncoder(256) },
+		Objective:  vcc.OptEnergy, // minimize energy, then SAW
+		Seed:       42,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -48,8 +50,8 @@ func main() {
 	fmt.Printf("cell changes:  %d of %d cells\n", st.CellChanges, 8*32)
 
 	// Compare against writing the same data unencoded.
-	plain, _ := vcc.NewMemory(vcc.MemoryConfig{
-		Lines: 1024, Encoder: vcc.NewUnencoded(), Seed: 42,
+	plain, _ := vcc.NewShardedMemory(vcc.ShardedMemoryConfig{
+		Lines: 1024, NewEncoder: vcc.NewUnencoded, Seed: 42,
 	})
 	plain.Write(7, line)
 	fmt.Printf("unencoded:     %.1f pJ for the same line\n", plain.Stats().EnergyPJ)

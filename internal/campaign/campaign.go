@@ -22,15 +22,12 @@ import (
 )
 
 // Params configures one campaign run. Every scenario is deterministic
-// in its Params: same Params, same Result, at any worker count.
+// in its Params: same Params, same Result.
 type Params struct {
 	// Seed drives all stochastic state (cell endurance, data, streams).
 	Seed uint64
 	// Shards is the engine shard count; 0 defaults to 1.
 	Shards int
-	// Workers bounds drainer parallelism; 0 defaults to the shard count.
-	// Results never depend on it.
-	Workers int
 	// Lines is the logical line capacity; 0 lets the scenario choose.
 	Lines int
 	// Horizon is the op budget (row writes for aging scenarios, total

@@ -162,7 +162,7 @@ func TestScenariosTinyScale(t *testing.T) {
 
 // TestScenariosDeterministic pins every scenario to identical results
 // across repeated runs with the same Params (the engine guarantees this
-// at any worker count; the scenario layer must not break it).
+// under any scheduling; the scenario layer must not break it).
 func TestScenariosDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: tiny-scale determinism is covered by -race CI runs")
@@ -176,7 +176,6 @@ func TestScenariosDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p.Workers = 1 // results must not depend on worker count
 			b, err := Run(info.Name, p)
 			if err != nil {
 				t.Fatal(err)

@@ -1,7 +1,7 @@
 package campaign
 
 // This file registers the built-in scenarios. Each is deterministic in
-// its Params at any shard/worker count, builds its engines from
+// its Params at any shard count, builds its engines from
 // internal/shard directly (the same convention the experiments drivers
 // follow), and reports a machine-checkable Summary alongside the table.
 
@@ -69,7 +69,6 @@ func runFaultAging(p Params) *Result {
 	eng, err := shard.New(shard.Config{
 		Lines:           lines,
 		Shards:          orI(p.Shards, 1),
-		Workers:         p.Workers,
 		NewCodec:        func() coset.Codec { return coset.NewVCCStored(64, 16, cosetN, p.Seed) },
 		Objective:       coset.ObjFlips,
 		SLC:             true,
@@ -193,7 +192,6 @@ func runRemapRepair(p Params) *Result {
 		eng, err := shard.New(shard.Config{
 			Lines:        lines,
 			Shards:       orI(p.Shards, 1),
-			Workers:      p.Workers,
 			NewCodec:     func() coset.Codec { return coset.NewVCCStored(64, 16, cosetN, p.Seed) },
 			Objective:    coset.ObjSAWEnergy,
 			Key:          campaignKey,
@@ -388,7 +386,6 @@ func runCrashRecovery(p Params) *Result {
 	eng, err := shard.New(shard.Config{
 		Lines:       lines,
 		Shards:      shards,
-		Workers:     p.Workers,
 		NewCodec:    func() coset.Codec { return coset.NewVCCStored(64, 16, cosetN, p.Seed) },
 		Objective:   coset.ObjEnergySAW,
 		Key:         campaignKey,

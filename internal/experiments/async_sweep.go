@@ -56,7 +56,6 @@ func runAsyncSweep(o Opts) *Result {
 				eng, err := shard.New(shard.Config{
 					Lines:     lines,
 					Shards:    shards,
-					Workers:   o.Workers,
 					NewCodec:  func() coset.Codec { return coset.NewVCCStored(64, 16, 256, o.Seed) },
 					Objective: coset.ObjEnergySAW,
 					Key:       simKey,

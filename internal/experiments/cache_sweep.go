@@ -36,8 +36,8 @@ var cacheSweepConfigs = []struct {
 // streaming patterns at SPEC-like read fractions, for every cache
 // configuration. Each engine is Flushed before its statistics are
 // collected, so write-back rows account every deferred device RMW. All
-// statistics columns are deterministic in (mode, seed, shards) at any
-// worker count; only ops_per_sec is machine-dependent.
+// statistics columns are deterministic in (mode, seed, shards); only
+// ops_per_sec is machine-dependent.
 func runCacheSweep(o Opts) *Result {
 	lines, totalOps := sizes(o.Mode)
 	totalOps /= 2 // two patterns x two fractions x five cache configs: keep quick mode quick
@@ -66,7 +66,6 @@ func runCacheSweep(o Opts) *Result {
 				eng, err := shard.New(shard.Config{
 					Lines:       lines,
 					Shards:      shards,
-					Workers:     o.Workers,
 					NewCodec:    func() coset.Codec { return coset.NewVCCStored(64, 16, 256, o.Seed) },
 					Objective:   coset.ObjEnergySAW,
 					Key:         simKey,

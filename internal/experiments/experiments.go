@@ -97,17 +97,14 @@ func (r *Result) CSV() string {
 }
 
 // Opts carries the knobs a driver may consult. Mode and Seed are
-// meaningful to every experiment; Shards and Workers only to the
-// sharded-replay drivers (plain drivers ignore them).
+// meaningful to every experiment; the rest only to the sharded-replay
+// drivers (plain drivers ignore them).
 type Opts struct {
 	Mode Mode
 	Seed uint64
 	// Shards is the shard count for drivers built on the sharded engine
 	// (0 and 1 both mean the sequential single-shard configuration).
 	Shards int
-	// Workers bounds the worker pool of sharded drivers; 0 defaults to
-	// the shard count.
-	Workers int
 	// CacheLines fronts each shard of sharded drivers that honor it
 	// (workload-sweep) with a decoded-line cache of this capacity; 0
 	// (the default) runs uncached. cache-sweep sweeps its own cache
@@ -129,7 +126,8 @@ type Opts struct {
 // inputs.
 type Runner func(mode Mode, seed uint64) *Result
 
-// OptRunner is a driver that also consults Shards/Workers.
+// OptRunner is a driver that also consults the sharded-engine knobs of
+// Opts.
 type OptRunner func(o Opts) *Result
 
 // entry pairs a runner with its description.

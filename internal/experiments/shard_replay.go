@@ -20,8 +20,7 @@ func init() {
 // shard load imbalance. With one shard the replay runs the exact
 // sequential pipeline; with more, each shard draws its own fault map
 // and initial cells from a derived seed, so absolutes shift while
-// orderings persist. Deterministic in (mode, seed, shards) at any
-// worker count.
+// orderings persist. Deterministic in (mode, seed, shards).
 func runShardReplay(o Opts) *Result {
 	lines, writes := sizes(o.Mode)
 	shards := o.Shards
@@ -44,7 +43,6 @@ func runShardReplay(o Opts) *Result {
 		eng, err := shard.New(shard.Config{
 			Lines:     lines,
 			Shards:    shards,
-			Workers:   o.Workers,
 			NewCodec:  func() coset.Codec { return coset.NewVCCStored(64, 16, 256, o.Seed) },
 			Objective: coset.ObjEnergySAW,
 			Key:       simKey,
@@ -56,25 +54,32 @@ func runShardReplay(o Opts) *Result {
 		}
 		gen := trace.NewGenerator(bm, o.Seed)
 		var rec trace.Record
-		reqs := make([]shard.WriteReq, 0, batchSize)
+		ops := make([]shard.Op, 0, batchSize)
+		outs := make([]shard.Outcome, batchSize)
 		bufs := make([][]byte, batchSize)
 		for i := range bufs {
 			bufs[i] = make([]byte, shard.LineSize)
 		}
 		for done := 0; done < writes; {
-			reqs = reqs[:0]
-			for len(reqs) < batchSize && done+len(reqs) < writes {
+			ops = ops[:0]
+			for len(ops) < batchSize && done+len(ops) < writes {
 				gen.Next(&rec)
-				buf := bufs[len(reqs)]
+				buf := bufs[len(ops)]
 				copy(buf, rec.Data[:])
-				reqs = append(reqs, shard.WriteReq{
-					Line: int(rec.Line % uint64(lines)), Data: buf,
+				ops = append(ops, shard.Op{
+					Kind: shard.OpWrite, Line: int(rec.Line % uint64(lines)), Data: buf,
 				})
 			}
-			if _, err := eng.WriteBatch(reqs); err != nil {
+			var err error
+			if outs, err = eng.Apply(ops, outs); err != nil {
 				panic(fmt.Sprintf("shard-replay: %v", err))
 			}
-			done += len(reqs)
+			for i := range outs {
+				if outs[i].Err != nil {
+					panic(fmt.Sprintf("shard-replay: %v", outs[i].Err))
+				}
+			}
+			done += len(ops)
 		}
 		st := eng.Stats()
 		maxW, minW := int64(-1), int64(-1)

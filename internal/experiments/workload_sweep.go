@@ -75,8 +75,8 @@ func runSyncStream(id string, eng *shard.Engine, stream *workload.Stream,
 // throughput. With Opts.CacheLines > 0 every engine runs behind the
 // decoded-line cache and the cache columns light up (the uncached
 // default reports them as zero/0.0%). All statistics columns are
-// deterministic in (mode, seed, shards, cache) at any worker count;
-// only the ops/sec column is machine-dependent.
+// deterministic in (mode, seed, shards, cache); only the ops/sec
+// column is machine-dependent.
 func runWorkloadSweep(o Opts) *Result {
 	lines, totalOps := sizes(o.Mode)
 	shards := o.Shards
@@ -111,7 +111,6 @@ func runWorkloadSweep(o Opts) *Result {
 			eng, err := shard.New(shard.Config{
 				Lines:       lines,
 				Shards:      shards,
-				Workers:     o.Workers,
 				NewCodec:    func() coset.Codec { return coset.NewVCCStored(64, 16, 256, o.Seed) },
 				Objective:   coset.ObjEnergySAW,
 				Key:         simKey,

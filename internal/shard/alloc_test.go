@@ -42,7 +42,6 @@ func TestApplySteadyStateAllocsSlicedEncoders(t *testing.T) {
 			e, err := New(Config{
 				Lines:     lines,
 				Shards:    1,
-				Workers:   1,
 				NewCodec:  cc.mk,
 				Objective: coset.ObjEnergySAW,
 				FaultRate: 1e-2, // stuck cells keep the SAW terms live

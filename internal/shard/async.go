@@ -4,8 +4,8 @@ package shard
 // per-shard issue queues, pooled tickets and completion machinery
 // behind Submit/Wait and the OnComplete callback form. The synchronous
 // Apply (ops.go) is a thin Submit+Wait wrapper, so every request —
-// single-op Write/Read, WriteBatch/ReadBatch, mixed Apply batches and
-// pipelined async producers — funnels through this one path.
+// single-op Write/Read, mixed Apply batches and pipelined async
+// producers — funnels through this one path.
 //
 // Design:
 //
@@ -29,6 +29,9 @@ package shard
 //     the queues: both enqueue a flush barrier entry on every shard,
 //     so they take effect after everything submitted before them and
 //     before anything submitted after.
+//   - No worker bound is needed: each shard has exactly one drainer,
+//     and the Go scheduler already runs at most GOMAXPROCS of them at
+//     once.
 
 import (
 	"errors"
@@ -39,8 +42,7 @@ import (
 )
 
 // ErrClosed is returned by Submit (and the synchronous wrappers built
-// on it: Apply, Write, Read, WriteBatch, ReadBatch) once the engine has
-// been Closed.
+// on it: Apply, Write, Read) once the engine has been Closed.
 var ErrClosed = errors.New("shard: engine is closed")
 
 // DefaultQueueDepth is the per-shard issue-queue bound used when
@@ -87,7 +89,8 @@ type Ticket struct {
 	cbStats func([]Outcome, memctrl.Stats, error)
 	// track enables per-ticket statistics accumulation: each drainer
 	// folds its shard's Stats delta into stats. statsMu guards the fold —
-	// a ticket's shards finish concurrently.
+	// a ticket's shards finish concurrently. Only SubmitFuncStats
+	// tickets track; the rest skip the snapshots entirely.
 	track   bool
 	statsMu sync.Mutex
 	stats   memctrl.Stats
@@ -116,12 +119,15 @@ func (t *Ticket) Wait() ([]Outcome, error) {
 }
 
 // runShard executes the ticket's ops for shard s in submission order
-// and folds the shard's statistics delta into the live counters. The
-// caller must hold e.mu[s].
+// and, for a tracking ticket, folds the shard's statistics delta into
+// the ticket. The caller must hold e.mu[s].
 func (t *Ticket) runShard(s int) {
 	e := t.e
 	b := e.backends[s]
-	before := b.StackStats()
+	var before memctrl.Stats
+	if t.track {
+		before = b.StackStats()
+	}
 	for _, i := range t.byShard[s] {
 		op := &t.ops[i]
 		local := e.part.LocalOf(op.Line)
@@ -133,9 +139,8 @@ func (t *Ticket) runShard(s int) {
 			t.out[i] = Outcome{Data: data, Err: err}
 		}
 	}
-	delta := b.StackStats().Delta(before)
-	e.live.add(delta)
 	if t.track {
+		delta := b.StackStats().Delta(before)
 		t.statsMu.Lock()
 		t.stats.Add(delta)
 		t.statsMu.Unlock()
@@ -285,8 +290,8 @@ func (e *Engine) SubmitFunc(ops []Op, out []Outcome, fn func([]Outcome, error)) 
 
 // SubmitFuncStats is SubmitFunc with exact per-submission engine
 // statistics: fn additionally receives the memctrl.Stats delta this
-// batch's ops accumulated across the shards they touched — the same
-// per-entry deltas that feed the live counters, folded per ticket. It
+// batch's ops accumulated across the shards they touched, each shard's
+// StackStats difference around its part of the ticket. It
 // lets a caller attribute engine work (line writes/reads, energy, SAW
 // cells, cache hits) to individual submissions — e.g. the network
 // server's per-tenant accounting — without snapshotting engine-wide
@@ -353,20 +358,10 @@ func (e *Engine) drain(s int) {
 	defer e.drained.Done()
 	for iss := range e.queues[s] {
 		t := iss.t
-		if e.sem != nil {
-			// The semaphore bounds cross-shard parallelism to the
-			// configured worker count; order within this shard is fixed
-			// by the queue, so the bound cannot affect results.
-			e.sem <- struct{}{}
-		}
 		e.mu[s].Lock()
 		switch {
 		case t.flush:
-			b := e.backends[s]
-			before := b.StackStats()
-			ferr := b.Store.Flush()
-			e.live.add(b.StackStats().Delta(before))
-			if ferr != nil {
+			if ferr := e.backends[s].Store.Flush(); ferr != nil {
 				// First failing shard wins; statsMu doubles as the guard
 				// since a barrier ticket never tracks stats.
 				t.statsMu.Lock()
@@ -383,9 +378,6 @@ func (e *Engine) drain(s int) {
 			t.runShard(s)
 		}
 		e.mu[s].Unlock()
-		if e.sem != nil {
-			<-e.sem
-		}
 		if t.pending.Add(-1) == 0 {
 			t.finish()
 		}
@@ -409,14 +401,13 @@ func (e *Engine) barrier(inval bool) *Ticket {
 func (e *Engine) flushBarrier() *Ticket { return e.barrier(false) }
 
 // Flush forces every shard's deferred writes (dirty write-back cache
-// lines) down to its device, folding the resulting statistics into the
-// live counters. It is a no-op on uncached and write-through engines,
-// and on closed engines (Close already flushed). Safe for concurrent
-// use; the flush rides the issue queues as a barrier, so it covers
-// everything submitted before it and nothing submitted after. On a
-// device error the first failing shard's error is returned; the
-// affected lines stay dirty in their caches and a later Flush retries
-// them.
+// lines) down to its device. It is a no-op on uncached and
+// write-through engines, and on closed engines (Close already flushed).
+// Safe for concurrent use; the flush rides the issue queues as a
+// barrier, so it covers everything submitted before it and nothing
+// submitted after. On a device error the first failing shard's error is
+// returned; the affected lines stay dirty in their caches and a later
+// Flush retries them.
 func (e *Engine) Flush() error {
 	e.qmu.RLock()
 	if e.closed {
@@ -454,9 +445,9 @@ func (e *Engine) DropCaches() {
 // shuts down the issue queues and their drainer goroutines. It is
 // idempotent and safe for concurrent use: the first call tears down,
 // later calls wait for that teardown and return. After Close, Submit
-// and every wrapper built on it (Apply, Write, Read, WriteBatch,
-// ReadBatch) return ErrClosed; the snapshot accessors (Stats,
-// ShardStats, Counters, StuckCells, FailedCells) keep working.
+// and every wrapper built on it (Apply, Write, Read) return ErrClosed;
+// the snapshot accessors (Stats, ShardStats, StuckCells, FailedCells)
+// keep working.
 //
 // Engines that live for the whole process need not be closed — but
 // write-back cached engines must be Flushed (or Closed) before the

@@ -39,7 +39,7 @@ func TestSubmitPipelineMatchesApply(t *testing.T) {
 	const lines, n, batch = 96, 1200, 24
 	mk := func(depth int) *Engine {
 		e, err := New(Config{
-			Lines: lines, Shards: 3, Workers: 2, QueueDepth: depth,
+			Lines: lines, Shards: 3, QueueDepth: depth,
 			NewCodec:  func() coset.Codec { return coset.NewFNW(64, 16) },
 			FaultRate: 1e-2, Seed: 7,
 		})
@@ -138,7 +138,7 @@ func TestSubmitCallbackAndDrain(t *testing.T) {
 			writes++
 		}
 	}
-	if got := e.Counters().LineWrites; got != writes {
+	if got := e.Stats().LineWrites; got != writes {
 		t.Errorf("LineWrites %d after Drain, want %d", got, writes)
 	}
 }
@@ -173,7 +173,7 @@ func TestSubmitEmptyBatch(t *testing.T) {
 func TestFlushBarrierOrdersWithInFlight(t *testing.T) {
 	const lines, n = 64, 600
 	e, err := New(Config{
-		Lines: lines, Shards: 2, Workers: 2, QueueDepth: 4,
+		Lines: lines, Shards: 2, QueueDepth: 4,
 		NewCodec:    func() coset.Codec { return coset.NewFNW(64, 16) },
 		Seed:        3,
 		CacheLines:  8,
@@ -247,20 +247,14 @@ func TestCloseLifecycle(t *testing.T) {
 	if _, err := e.Read(0, nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("Read after Close: %v, want ErrClosed", err)
 	}
-	if _, err := e.WriteBatch([]WriteReq{{Line: 0, Data: data}}); !errors.Is(err, ErrClosed) {
-		t.Errorf("WriteBatch after Close: %v, want ErrClosed", err)
-	}
-	if _, err := e.ReadBatch([]ReadReq{{Line: 0}}); !errors.Is(err, ErrClosed) {
-		t.Errorf("ReadBatch after Close: %v, want ErrClosed", err)
-	}
 	if _, err := e.NewSession().Submit(nil, nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("empty Submit after Close: %v, want ErrClosed", err)
 	}
 	if got := e.Stats().LineWrites; got != 1 {
 		t.Errorf("Stats after Close: LineWrites %d, want 1", got)
 	}
-	if got := e.Counters().LineWrites; got != 1 {
-		t.Errorf("Counters after Close: LineWrites %d, want 1", got)
+	if got := e.ShardStats(1).LineWrites; got != 1 {
+		t.Errorf("ShardStats after Close: LineWrites %d, want 1", got)
 	}
 	e.Flush() // no-op, must not panic
 }

@@ -6,10 +6,9 @@ import (
 
 // This file defines the mixed op-stream types and the synchronous
 // Apply entry point. Apply is a thin Submit+Wait wrapper over the
-// asynchronous issue queues (async.go) — as are WriteBatch/ReadBatch
-// and the single-op Write/Read (shard.go) — so the whole request
-// surface funnels through one path with one ordering and allocation
-// contract:
+// asynchronous issue queues (async.go) — as are the single-op
+// Write/Read (shard.go) — so the whole request surface funnels through
+// one path with one ordering and allocation contract:
 //
 //   - the shard grouping state (per-shard index lists, active-shard
 //     list, completion signal) lives in pooled tickets recycled across
@@ -103,8 +102,8 @@ func (e *Engine) validateOps(ops []Op) error {
 // Ordering: ops addressed to the same shard are applied in slice order,
 // interleaving reads and writes exactly as submitted, so a batch is
 // equivalent to a deterministic sequential interleaving regardless of
-// worker count or concurrent in-flight tickets on other shards (ops on
-// different shards touch disjoint state and may run in any order).
+// concurrent in-flight tickets on other shards (ops on different
+// shards touch disjoint state and may run in any order).
 //
 // Allocation: out is reused when it has capacity for len(ops) outcomes
 // and allocated otherwise; pass the previous call's slice back to make

@@ -17,36 +17,29 @@
 // Submit groups a batch's ops by shard, enqueues one entry per touched
 // shard and returns a Ticket immediately; a dedicated drainer goroutine
 // per shard applies entries FIFO, so op-stream generation overlaps
-// encoding across shards. Apply/WriteBatch/ReadBatch and the single-op
-// Write/Read are synchronous Submit+Wait wrappers — every caller
-// funnels through the one asynchronous path. Three consequences matter:
+// encoding across shards. Apply and the single-op Write/Read are
+// synchronous Submit+Wait wrappers — every caller funnels through the
+// one asynchronous path. Three consequences matter:
 //
 //   - A shard is only ever touched by its own drainer (plus a per-shard
 //     mutex excluding snapshot readers), so no locks are needed inside
-//     the pipeline. This keeps the single-shard configuration on
-//     exactly the code path of the sequential engine: with Shards == 1
-//     the engine is bit-identical to a vcc.Memory built from the same
-//     configuration (same seed → same cells, energy, SAW counts).
+//     the pipeline. A one-shard engine therefore runs exactly the
+//     Backend that NewBackend builds from the same configuration: same
+//     seed → same cells, energy, SAW counts, as if that Backend were
+//     driven directly, op by op, on the caller's goroutine.
 //   - Results are deterministic regardless of scheduling: each shard's
 //     device evolves only under its own FIFO request stream, so
 //     (config, seed, request sequence) fully determines every statistic
-//     and outcome, at any shard, worker or in-flight-ticket count.
+//     and outcome, at any shard count or in-flight-ticket depth.
 //   - Backpressure is structural: a shard's queue holds at most
 //     QueueDepth tickets, so a fast producer blocks in Submit instead
 //     of growing unbounded in-flight state.
-//
-// Engine-wide totals are additionally folded into lock-free atomic
-// counters (Counters) after every queue entry, so monitoring code can
-// observe throughput mid-batch without stopping the drainers.
 package shard
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/chaos"
@@ -91,9 +84,9 @@ func (p Partition) ShardLines(s int) int {
 	return (p.Lines - s + p.Shards - 1) / p.Shards
 }
 
-// BackendConfig assembles one shard's pipeline. It mirrors
-// vcc.MemoryConfig; vcc.NewMemory delegates here, which is what makes
-// the single-shard equivalence structural rather than coincidental.
+// BackendConfig assembles one shard's pipeline. The engine builds every
+// shard through it, which is what makes a Backend driven directly the
+// exact sequential reference of a one-shard engine.
 type BackendConfig struct {
 	// Lines is the shard capacity in 64-byte cache lines.
 	Lines int
@@ -208,9 +201,9 @@ type Backend struct {
 	errorRetries int64
 }
 
-// NewBackend builds one pipeline from cfg. The PRNG stream labels are
-// those historically used by vcc.NewMemory, so a backend seeded like a
-// vcc.Memory initializes identical cells, faults and endurance draws.
+// NewBackend builds one pipeline from cfg. Its cells, faults and
+// endurance draws come from fixed PRNG stream labels under cfg.Seed, so
+// equal configurations initialize identical devices.
 func NewBackend(cfg BackendConfig) (*Backend, error) {
 	if cfg.Lines <= 0 {
 		return nil, fmt.Errorf("shard: Lines must be positive, got %d", cfg.Lines)
@@ -387,12 +380,6 @@ type Config struct {
 	Lines int
 	// Shards is the shard count; 0 defaults to 1. Must not exceed Lines.
 	Shards int
-	// Workers bounds how many shard drainers may run concurrently; 0
-	// defaults to min(Shards, GOMAXPROCS). Values above Shards are
-	// clamped: a shard is single-threaded, so extra workers could never
-	// be scheduled. The bound affects wall-clock parallelism only —
-	// per-shard FIFO order fixes every result at any worker count.
-	Workers int
 	// QueueDepth bounds the per-shard issue queue: at most this many
 	// tickets may be queued on one shard before Submit blocks
 	// (backpressure). 0 defaults to DefaultQueueDepth.
@@ -439,8 +426,8 @@ type Config struct {
 }
 
 // ShardSeed returns the seed for shard i of n derived from the master
-// seed. With n == 1 the master seed is used directly, preserving
-// bit-identity with the unsharded engine.
+// seed. With n == 1 the master seed is used directly, so a one-shard
+// engine is bit-identical to a Backend built with that seed.
 func ShardSeed(seed uint64, i, n int) uint64 {
 	if n == 1 {
 		return seed
@@ -453,7 +440,7 @@ func ShardSeed(seed uint64, i, n int) uint64 {
 // would reuse one-time pads across shards (the pad tweak is local line
 // + counter). With n > 1 the key is therefore whitened per shard,
 // keeping ciphertext streams decorrelated; with n == 1 the master key
-// is used directly, preserving bit-identity with the unsharded engine.
+// is used directly, like the seed (see ShardSeed).
 func shardKey(key [32]byte, seed uint64, i, n int) [32]byte {
 	if n == 1 {
 		return key
@@ -466,127 +453,6 @@ func shardKey(key [32]byte, seed uint64, i, n int) [32]byte {
 	return key
 }
 
-// WriteReq is one line write in a batch.
-type WriteReq struct {
-	// Line is the global line index.
-	Line int
-	// Data is the 64-byte plaintext. The engine does not retain it past
-	// the batch call.
-	Data []byte
-}
-
-// ReadReq is one line read in a batch.
-type ReadReq struct {
-	// Line is the global line index.
-	Line int
-	// Dst receives the plaintext; allocated when nil.
-	Dst []byte
-}
-
-// Counters is a point-in-time snapshot of engine-wide totals, merged
-// lock-free from per-shard deltas (see Engine.Counters). The cache
-// fields stay zero on an uncached engine.
-type Counters struct {
-	LineWrites      int64
-	LineReads       int64
-	EnergyPJ        float64
-	BitFlips        int64
-	CellChanges     int64
-	SAWCells        int64
-	CacheHits       int64
-	CacheMisses     int64
-	CacheEvictions  int64
-	Writebacks      int64
-	CoalescedWrites int64
-	RemappedLines   int64
-	RepairFailures  int64
-	DeviceErrors    int64
-	ErrorRetries    int64
-}
-
-// counters is the atomic accumulator behind Counters. Integer fields
-// use plain atomic adds; the energy total is a float64 merged by
-// compare-and-swap on its bit pattern.
-type counters struct {
-	lineWrites  atomic.Int64
-	lineReads   atomic.Int64
-	bitFlips    atomic.Int64
-	cellChanges atomic.Int64
-	sawCells    atomic.Int64
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
-	evictions   atomic.Int64
-	writebacks  atomic.Int64
-	coalesced   atomic.Int64
-	remapped    atomic.Int64
-	repairFails atomic.Int64
-	devErrors   atomic.Int64
-	errRetries  atomic.Int64
-	energyBits  atomic.Uint64
-}
-
-func (c *counters) add(d memctrl.Stats) {
-	c.lineWrites.Add(d.LineWrites)
-	c.lineReads.Add(d.LineReads)
-	c.bitFlips.Add(d.BitFlips)
-	c.cellChanges.Add(d.CellChanges)
-	c.sawCells.Add(d.SAWCells)
-	c.cacheHits.Add(d.CacheHits)
-	c.cacheMisses.Add(d.CacheMisses)
-	c.evictions.Add(d.CacheEvictions)
-	c.writebacks.Add(d.Writebacks)
-	c.coalesced.Add(d.CoalescedWrites)
-	c.remapped.Add(d.RemappedLines)
-	c.repairFails.Add(d.RepairFailures)
-	c.devErrors.Add(d.DeviceErrors)
-	c.errRetries.Add(d.ErrorRetries)
-	for {
-		old := c.energyBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d.EnergyPJ)
-		if c.energyBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-func (c *counters) snapshot() Counters {
-	return Counters{
-		LineWrites:      c.lineWrites.Load(),
-		LineReads:       c.lineReads.Load(),
-		EnergyPJ:        math.Float64frombits(c.energyBits.Load()),
-		BitFlips:        c.bitFlips.Load(),
-		CellChanges:     c.cellChanges.Load(),
-		SAWCells:        c.sawCells.Load(),
-		CacheHits:       c.cacheHits.Load(),
-		CacheMisses:     c.cacheMisses.Load(),
-		CacheEvictions:  c.evictions.Load(),
-		Writebacks:      c.writebacks.Load(),
-		CoalescedWrites: c.coalesced.Load(),
-		RemappedLines:   c.remapped.Load(),
-		RepairFailures:  c.repairFails.Load(),
-		DeviceErrors:    c.devErrors.Load(),
-		ErrorRetries:    c.errRetries.Load(),
-	}
-}
-
-func (c *counters) reset() {
-	c.lineWrites.Store(0)
-	c.lineReads.Store(0)
-	c.bitFlips.Store(0)
-	c.cellChanges.Store(0)
-	c.sawCells.Store(0)
-	c.cacheHits.Store(0)
-	c.cacheMisses.Store(0)
-	c.evictions.Store(0)
-	c.writebacks.Store(0)
-	c.coalesced.Store(0)
-	c.remapped.Store(0)
-	c.repairFails.Store(0)
-	c.devErrors.Store(0)
-	c.errRetries.Store(0)
-	c.energyBits.Store(0)
-}
-
 // Engine is the sharded, concurrency-safe memory engine. All methods,
 // including Close, may be called from multiple goroutines.
 type Engine struct {
@@ -594,17 +460,12 @@ type Engine struct {
 	backends []*Backend
 	// mu[i] excludes the snapshot readers (Stats, ShardStats, ...) from
 	// backends[i] while its drainer runs a queue entry.
-	mu      []sync.Mutex
-	workers int
-	live    counters
+	mu []sync.Mutex
 	// tickets recycles Submit scratch state (see async.go).
 	tickets sync.Pool
 	// queues[s] is shard s's bounded issue queue, drained FIFO by a
 	// dedicated goroutine for the life of the engine.
 	queues []chan issue
-	// sem bounds cross-shard drainer parallelism to the configured
-	// worker count; nil when Workers >= Shards (no bound needed).
-	sem chan struct{}
 	// qmu pairs Submit's enqueue (read lock) with Close's teardown
 	// (write lock); closed is guarded by it.
 	qmu    sync.RWMutex
@@ -630,13 +491,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if shards < 0 || shards > cfg.Lines {
 		return nil, fmt.Errorf("shard: Shards %d out of range [1,%d]", shards, cfg.Lines)
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > shards {
-		workers = shards
 	}
 	part := Partition{Shards: shards, Lines: cfg.Lines}
 	backends := make([]*Backend, shards)
@@ -673,15 +527,11 @@ func New(cfg Config) (*Engine, error) {
 		part:     part,
 		backends: backends,
 		mu:       make([]sync.Mutex, shards),
-		workers:  workers,
 		queues:   make([]chan issue, shards),
 		closedCh: make(chan struct{}),
 	}
 	e.tickets.New = func() any {
 		return &Ticket{e: e, byShard: make([][]int, shards), done: make(chan struct{}, 1)}
-	}
-	if workers < shards {
-		e.sem = make(chan struct{}, workers)
 	}
 	// The drainers exist for the engine's lifetime so dispatch never
 	// creates goroutines or channels per batch; Close releases them.
@@ -698,9 +548,6 @@ func (e *Engine) Lines() int { return e.part.Lines }
 
 // Shards returns the shard count.
 func (e *Engine) Shards() int { return e.part.Shards }
-
-// Workers returns the effective worker-pool bound.
-func (e *Engine) Workers() int { return e.workers }
 
 // Partition returns the address-space partition.
 func (e *Engine) Partition() Partition { return e.part }
@@ -737,62 +584,9 @@ func (e *Engine) Read(line int, dst []byte) ([]byte, error) {
 	return outs[0].Data, outs[0].Err
 }
 
-// WriteBatch stores every request and returns the per-request
-// stuck-at-wrong cell counts, indexed like reqs. When individual ops
-// failed with device errors the counts are still returned alongside
-// the first such error (use Apply for per-op errors). It is a thin wrapper
-// over Apply (which see for ordering and determinism guarantees);
-// callers that mix reads and writes, or that need allocation-free
-// dispatch, should use Apply directly.
-func (e *Engine) WriteBatch(reqs []WriteReq) ([]int, error) {
-	ops := make([]Op, len(reqs))
-	for i := range reqs {
-		ops[i] = Op{Kind: OpWrite, Line: reqs[i].Line, Data: reqs[i].Data}
-	}
-	outs, err := e.Apply(ops, nil)
-	if err != nil {
-		return nil, err
-	}
-	saw := make([]int, len(outs))
-	for i := range outs {
-		saw[i] = outs[i].SAWCells
-		if outs[i].Err != nil && err == nil {
-			err = outs[i].Err
-		}
-	}
-	return saw, err
-}
-
-// ReadBatch serves every read and returns the plaintexts, indexed like
-// reqs; per-op device errors surface as the first failed op's error
-// alongside the data (a failed op's bytes must not be trusted — use
-// Apply for per-op errors). out[i] aliases reqs[i].Dst when a destination buffer was
-// provided (no per-request allocation) and is freshly allocated
-// otherwise; either way out[i] is only valid to reuse once the caller
-// is done with the previous contents of reqs[i].Dst. It is a thin
-// wrapper over Apply.
-func (e *Engine) ReadBatch(reqs []ReadReq) ([][]byte, error) {
-	ops := make([]Op, len(reqs))
-	for i := range reqs {
-		ops[i] = Op{Kind: OpRead, Line: reqs[i].Line, Data: reqs[i].Dst}
-	}
-	outs, err := e.Apply(ops, nil)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(outs))
-	for i := range outs {
-		out[i] = outs[i].Data
-		if outs[i].Err != nil && err == nil {
-			err = outs[i].Err
-		}
-	}
-	return out, err
-}
-
 // Stats returns the exact merged store-stack statistics across shards,
-// taking each shard's lock in turn. With one uncached shard this is the
-// controller's Stats verbatim (bit-identical to the sequential engine).
+// taking each shard's lock in turn. With one shard this is its
+// Backend's StackStats verbatim.
 func (e *Engine) Stats() memctrl.Stats {
 	var total memctrl.Stats
 	for i, b := range e.backends {
@@ -811,18 +605,19 @@ func (e *Engine) ShardStats(s int) memctrl.Stats {
 	return e.backends[s].StackStats()
 }
 
-// Counters returns the live lock-free totals. Unlike Stats it never
-// blocks on shard locks, so it can be polled while batches run; it only
-// reflects writes whose job has already folded its delta in.
-func (e *Engine) Counters() Counters { return e.live.snapshot() }
+// ShardFailedCells returns shard s's endurance-exhausted cell count (0
+// without wear tracking).
+func (e *Engine) ShardFailedCells(s int) int64 {
+	e.mu[s].Lock()
+	defer e.mu[s].Unlock()
+	return e.backends[s].FailedCells()
+}
 
 // FailedCells sums endurance-exhausted cells across shards.
 func (e *Engine) FailedCells() int64 {
 	var total int64
-	for i, b := range e.backends {
-		e.mu[i].Lock()
-		total += b.FailedCells()
-		e.mu[i].Unlock()
+	for s := range e.backends {
+		total += e.ShardFailedCells(s)
 	}
 	return total
 }
@@ -900,8 +695,8 @@ func (e *Engine) SpareLinesLeft() int {
 	return total
 }
 
-// ResetStats clears store-stack statistics and live counters (device
-// and cache contents are untouched).
+// ResetStats clears store-stack statistics (device and cache contents
+// are untouched).
 func (e *Engine) ResetStats() {
 	for i, b := range e.backends {
 		e.mu[i].Lock()
@@ -909,5 +704,4 @@ func (e *Engine) ResetStats() {
 		b.errorRetries = 0
 		e.mu[i].Unlock()
 	}
-	e.live.reset()
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/coset"
+	"repro/internal/memctrl"
 )
 
 func TestPartitionRoundTrip(t *testing.T) {
@@ -106,7 +107,6 @@ func newTestEngine(t *testing.T, shards, lines int) *Engine {
 	e, err := New(Config{
 		Lines:    lines,
 		Shards:   shards,
-		Workers:  shards,
 		NewCodec: func() coset.Codec { return coset.NewFNW(64, 16) },
 		Seed:     7,
 	})
@@ -116,75 +116,40 @@ func newTestEngine(t *testing.T, shards, lines int) *Engine {
 	return e
 }
 
-// TestBatchDeterminismAcrossWorkerCounts replays the same batch against
-// engines that differ only in worker count and requires identical
-// statistics: scheduling must not influence results.
-func TestBatchDeterminismAcrossWorkerCounts(t *testing.T) {
-	const lines = 257
-	mkBatch := func() []WriteReq {
-		reqs := make([]WriteReq, 3*lines)
-		for i := range reqs {
-			data := make([]byte, LineSize)
-			for k := range data {
-				data[k] = byte(i*31 + k)
-			}
-			reqs[i] = WriteReq{Line: (i * 13) % lines, Data: data}
-		}
-		return reqs
-	}
-	var ref *Engine
-	var refSAW []int
-	for _, workers := range []int{1, 2, 8} {
-		e, err := New(Config{
-			Lines: lines, Shards: 4, Workers: workers,
-			NewCodec:  func() coset.Codec { return coset.NewFNW(64, 16) },
-			FaultRate: 1e-2, Seed: 7,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		saw, err := e.WriteBatch(mkBatch())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref, refSAW = e, saw
-			continue
-		}
-		if e.Stats() != ref.Stats() {
-			t.Errorf("workers=%d: stats %+v differ from workers=1 %+v", workers, e.Stats(), ref.Stats())
-		}
-		for i := range saw {
-			if saw[i] != refSAW[i] {
-				t.Fatalf("workers=%d: request %d SAW %d, want %d", workers, i, saw[i], refSAW[i])
-			}
-		}
-	}
-}
-
+// TestCountersMatchStats: the per-shard counters (ShardStats and
+// ShardFailedCells) sum exactly to the engine-wide Stats and
+// FailedCells, and ResetStats clears the statistics.
 func TestCountersMatchStats(t *testing.T) {
-	e := newTestEngine(t, 4, 64)
+	e, err := New(Config{
+		Lines: 16, Shards: 4,
+		NewCodec:        func() coset.Codec { return coset.NewFNW(64, 16) },
+		EnduranceWrites: 30, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
 	data := make([]byte, LineSize)
-	for l := 0; l < 64; l++ {
-		if _, err := e.Write(l, data); err != nil {
+	for i := 0; i < 640; i++ {
+		data[i%LineSize] ^= byte(i)
+		if _, err := e.Write(i%16, data); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st, live := e.Stats(), e.Counters()
-	if live.LineWrites != st.LineWrites || live.BitFlips != st.BitFlips ||
-		live.CellChanges != st.CellChanges || live.SAWCells != st.SAWCells {
-		t.Errorf("live counters %+v disagree with stats %+v", live, st)
+	var sum memctrl.Stats
+	var failed int64
+	for s := 0; s < e.Shards(); s++ {
+		sum.Add(e.ShardStats(s))
+		failed += e.ShardFailedCells(s)
 	}
-	// Energy is merged via float CAS from per-write deltas; per-write
-	// granularity makes the sum exact in this single-threaded sequence.
-	if live.EnergyPJ != st.EnergyPJ {
-		t.Errorf("live energy %v != stats energy %v", live.EnergyPJ, st.EnergyPJ)
+	if st := e.Stats(); sum != st {
+		t.Errorf("per-shard stats sum %+v != engine stats %+v", sum, st)
+	}
+	if failed == 0 || failed != e.FailedCells() {
+		t.Errorf("per-shard failed cells sum %d, engine %d (want equal and nonzero)", failed, e.FailedCells())
 	}
 	e.ResetStats()
-	if c := e.Counters(); c != (Counters{}) {
-		t.Errorf("counters not cleared by ResetStats: %+v", c)
-	}
-	if s := e.Stats(); s.LineWrites != 0 {
+	if s := e.Stats(); s != (memctrl.Stats{}) {
 		t.Errorf("stats not cleared by ResetStats: %+v", s)
 	}
 }
@@ -206,10 +171,10 @@ func TestEngineValidation(t *testing.T) {
 	if _, err := e.Write(0, make([]byte, 8)); err == nil {
 		t.Error("want size error")
 	}
-	if _, err := e.WriteBatch([]WriteReq{{Line: -1, Data: make([]byte, LineSize)}}); err == nil {
+	if _, err := e.Apply([]Op{{Kind: OpWrite, Line: -1, Data: make([]byte, LineSize)}}, nil); err == nil {
 		t.Error("want batch range error")
 	}
-	if _, err := e.ReadBatch([]ReadReq{{Line: 0, Dst: make([]byte, 3)}}); err == nil {
+	if _, err := e.Apply([]Op{{Kind: OpRead, Line: 0, Data: make([]byte, 3)}}, nil); err == nil {
 		t.Error("want batch buffer-size error")
 	}
 }

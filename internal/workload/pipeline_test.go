@@ -12,7 +12,7 @@ import (
 func pipelineEngine(t *testing.T, lines int) *shard.Engine {
 	t.Helper()
 	e, err := shard.New(shard.Config{
-		Lines: lines, Shards: 3, Workers: 2,
+		Lines: lines, Shards: 3,
 		NewCodec:  func() coset.Codec { return coset.NewFNW(64, 16) },
 		FaultRate: 1e-2, Seed: 11,
 	})

@@ -13,12 +13,6 @@ import (
 // verify-after-write (see ShardedMemoryConfig.UseFaultRepo).
 type FaultRepoStats = faultrepo.Stats
 
-// WriteRequest is one line write in a ShardedMemory batch.
-type WriteRequest = shard.WriteReq
-
-// ReadRequest is one line read in a ShardedMemory batch.
-type ReadRequest = shard.ReadReq
-
 // Op is one element of a mixed read/write stream for Apply.
 type Op = shard.Op
 
@@ -33,10 +27,6 @@ const (
 	OpRead = shard.OpRead
 )
 
-// LiveCounters is a lock-free snapshot of engine-wide read and write
-// totals, pollable while batches are in flight.
-type LiveCounters = shard.Counters
-
 // Ticket tracks one asynchronous Submit until completion; Wait blocks
 // for the outcomes and recycles the ticket (see Session).
 type Ticket = shard.Ticket
@@ -45,9 +35,8 @@ type Ticket = shard.Ticket
 // per-shard issue queues (see ShardedMemory.Session).
 type Session = shard.Session
 
-// ErrClosed is returned by Submit — and by Apply, Write, Read,
-// WriteBatch and ReadBatch, which are wrappers over it — once the
-// memory has been Closed.
+// ErrClosed is returned by Submit — and by Apply, Write and Read, which
+// are wrappers over it — once the memory has been Closed.
 var ErrClosed = shard.ErrClosed
 
 // CachePolicy selects how the optional decoded-line cache handles
@@ -75,18 +64,15 @@ const (
 	WriteBack = linecache.WriteBack
 )
 
-// ShardedMemoryConfig assembles a sharded, concurrency-safe memory.
+// ShardedMemoryConfig assembles a simulated encrypted PCM main memory.
 type ShardedMemoryConfig struct {
 	// Lines is the total capacity in 64-byte cache lines.
 	Lines int
 	// Shards partitions the line address space (round-robin interleave)
 	// across this many independent pipelines, each with its own device,
 	// controller, encryption unit and derived PRNG streams. 0 defaults
-	// to 1, which is bit-identical to Memory.
+	// to 1.
 	Shards int
-	// Workers bounds how many shard drainers may run concurrently; 0
-	// defaults to min(Shards, GOMAXPROCS). Results never depend on it.
-	Workers int
 	// QueueDepth bounds each shard's issue queue: at most this many
 	// in-flight tickets may be queued per shard before Submit (and the
 	// synchronous wrappers) block — the async path's backpressure bound.
@@ -98,19 +84,25 @@ type ShardedMemoryConfig struct {
 	// concurrently-running shards.
 	NewEncoder func() Encoder
 	// Objective drives candidate selection; the zero value is OptFlips
-	// (classic write reduction), as in MemoryConfig.
+	// (classic write reduction). The paper's headline results use
+	// OptEnergy or OptSAW — set one explicitly to reproduce them.
 	Objective Objective
 	// SLC selects single-level cells (default is the paper's 2-bit MLC).
 	SLC bool
-	// DisableEncryption bypasses the AES-CTR unit (ablations only).
+	// DisableEncryption bypasses the AES-CTR unit (ablations only; the
+	// paper's threat model requires encryption).
 	DisableEncryption bool
 	// Key is the AES-256 key for the encryption units.
 	Key [32]byte
-	// FaultRate pre-generates per-shard stuck-at fault maps. 0 disables.
+	// FaultRate pre-generates per-shard stuck-at fault maps at this
+	// per-cell rate (the paper's snapshot experiments use 1e-2). 0
+	// disables.
 	FaultRate float64
-	// EnduranceWrites enables wear tracking (see MemoryConfig).
+	// EnduranceWrites enables wear tracking with this mean cell lifetime
+	// in energy-weighted wear units (see pcm.Wear). 0 disables.
 	EnduranceWrites float64
-	// EnduranceCoV is the lifetime coefficient of variation (default 0.2).
+	// EnduranceCoV is the lifetime coefficient of variation (default
+	// 0.2, the paper's value) when wear tracking is on.
 	EnduranceCoV float64
 	// Seed is the master seed; shards derive decorrelated child seeds
 	// from it (the single-shard configuration uses it directly).
@@ -156,17 +148,18 @@ type ShardedMemoryConfig struct {
 	OpRetries int
 }
 
-// ShardedMemory is the concurrent variant of Memory: the line address
+// ShardedMemory is an encrypted, coset-encoded, fault- and wear-aware
+// simulated PCM main memory addressed in cache lines. The line address
 // space is interleaved across independent shards and every request
 // flows through bounded per-shard issue queues — asynchronously via
 // Session.Submit, or synchronously via the Apply/Write/Read wrappers
 // over the same path. All methods are safe for concurrent use.
 //
 // With Shards == 1 every result — cells, energy, SAW counts, Stats —
-// is bit-identical to a Memory built from the same configuration and
-// seed, so sequential experiments stay valid on this engine; and at
-// any shard count, results are bit-identical at any worker count or
-// async in-flight depth.
+// is bit-identical to driving the shard's pipeline op by op on one
+// goroutine, so sequential experiments stay valid on this engine; and
+// at any shard count, results are bit-identical at any async in-flight
+// depth.
 type ShardedMemory struct {
 	eng *shard.Engine
 }
@@ -180,7 +173,6 @@ func NewShardedMemory(cfg ShardedMemoryConfig) (*ShardedMemory, error) {
 	eng, err := shard.New(shard.Config{
 		Lines:             cfg.Lines,
 		Shards:            cfg.Shards,
-		Workers:           cfg.Workers,
 		QueueDepth:        cfg.QueueDepth,
 		NewCodec:          func() coset.Codec { return newEnc() },
 		Objective:         cfg.Objective,
@@ -211,17 +203,17 @@ func (m *ShardedMemory) Lines() int { return m.eng.Lines() }
 // Shards returns the shard count.
 func (m *ShardedMemory) Shards() int { return m.eng.Shards() }
 
-// Workers returns the effective worker-pool bound.
-func (m *ShardedMemory) Workers() int { return m.eng.Workers() }
-
-// Write stores a 64-byte cache line, like Memory.Write but safe for
-// concurrent use.
+// Write stores a 64-byte cache line at the given line index through the
+// full encrypt-encode-program pipeline. It returns the number of
+// stuck-at-wrong cells the write could not avoid (0 means the line is
+// stored faithfully).
 func (m *ShardedMemory) Write(line int, data []byte) (sawCells int, err error) {
 	return m.eng.Write(line, data)
 }
 
-// Read retrieves a cache line, like Memory.Read but safe for concurrent
-// use.
+// Read retrieves a cache line through decode and decryption into dst
+// (allocated when nil). Data stored over stuck-at-wrong cells reads back
+// corrupted, exactly as it would from the physical device.
 func (m *ShardedMemory) Read(line int, dst []byte) ([]byte, error) {
 	return m.eng.Read(line, dst)
 }
@@ -231,7 +223,7 @@ func (m *ShardedMemory) Read(line int, dst []byte) ([]byte, error) {
 // Submit+Wait — the synchronous view of the async path (see Session).
 // Ops addressed to the same shard apply in slice order — reads and
 // writes interleave exactly as submitted — so results are deterministic
-// at any shard, worker or in-flight-ticket count. Passing the previous
+// at any shard count or in-flight-ticket depth. Passing the previous
 // call's outcome slice back as out makes steady-state dispatch
 // allocation-free; read outcomes alias the op's Data buffer when one is
 // provided. After Close it returns ErrClosed.
@@ -253,22 +245,6 @@ func (m *ShardedMemory) Apply(ops []Op, out []Outcome) ([]Outcome, error) {
 // Multiple sessions may share one memory.
 func (m *ShardedMemory) Session() *Session { return m.eng.NewSession() }
 
-// WriteBatch dispatches the requests over the issue queues and returns
-// per-request stuck-at-wrong cell counts, indexed like reqs. It is a
-// thin wrapper over Apply; requests to the same shard apply in slice
-// order, so results are deterministic at any worker count.
-func (m *ShardedMemory) WriteBatch(reqs []WriteRequest) ([]int, error) {
-	return m.eng.WriteBatch(reqs)
-}
-
-// ReadBatch dispatches the reads over the issue queues and returns the
-// plaintexts, indexed like reqs. out[i] aliases reqs[i].Dst when a
-// destination buffer was provided (no per-request allocation) and is
-// freshly allocated otherwise. It is a thin wrapper over Apply.
-func (m *ShardedMemory) ReadBatch(reqs []ReadRequest) ([][]byte, error) {
-	return m.eng.ReadBatch(reqs)
-}
-
 // Flush forces deferred writes (dirty write-back cache lines) down to
 // the devices. It is a no-op without a cache, under WriteThrough, or
 // after Close; with WriteBack the device state only reflects every
@@ -281,62 +257,23 @@ func (m *ShardedMemory) Flush() error { return m.eng.Flush() }
 
 // Close drains in-flight tickets, flushes deferred writes, and shuts
 // down the issue queues. It is idempotent and safe for concurrent use.
-// After Close, Submit and every wrapper over it (Apply, Write, Read,
-// WriteBatch, ReadBatch) return ErrClosed; Stats, ShardStats, Counters
-// and StuckCells keep working. Memories that live for the whole process
-// need not be closed; write-back cached ones must be Flushed or Closed
-// before their final statistics are read.
+// After Close, Submit and every wrapper over it (Apply, Write, Read)
+// return ErrClosed; Stats, ShardStats and StuckCells keep working.
+// Memories that live for the whole process need not be closed;
+// write-back cached ones must be Flushed or Closed before their final
+// statistics are read.
 func (m *ShardedMemory) Close() { m.eng.Close() }
 
 // Stats returns exact statistics merged across all shards.
 func (m *ShardedMemory) Stats() Stats {
-	s := m.eng.Stats()
-	return Stats{
-		LineWrites:      s.LineWrites,
-		LineReads:       s.LineReads,
-		EnergyPJ:        s.EnergyPJ,
-		BitFlips:        s.BitFlips,
-		CellChanges:     s.CellChanges,
-		SAWCells:        s.SAWCells,
-		FailedCells:     m.eng.FailedCells(),
-		CacheHits:       s.CacheHits,
-		CacheMisses:     s.CacheMisses,
-		CacheEvictions:  s.CacheEvictions,
-		Writebacks:      s.Writebacks,
-		CoalescedWrites: s.CoalescedWrites,
-		RemappedLines:   s.RemappedLines,
-		RepairFailures:  s.RepairFailures,
-		DeviceErrors:    s.DeviceErrors,
-		ErrorRetries:    s.ErrorRetries,
-	}
+	return statsOf(m.eng.Stats(), m.eng.FailedCells())
 }
 
 // ShardStats returns the statistics of one shard, for load-balance
-// inspection.
+// inspection. Summed over every shard with Stats.Add, they equal Stats.
 func (m *ShardedMemory) ShardStats(s int) Stats {
-	st := m.eng.ShardStats(s)
-	return Stats{
-		LineWrites:      st.LineWrites,
-		LineReads:       st.LineReads,
-		EnergyPJ:        st.EnergyPJ,
-		BitFlips:        st.BitFlips,
-		CellChanges:     st.CellChanges,
-		SAWCells:        st.SAWCells,
-		CacheHits:       st.CacheHits,
-		CacheMisses:     st.CacheMisses,
-		CacheEvictions:  st.CacheEvictions,
-		Writebacks:      st.Writebacks,
-		CoalescedWrites: st.CoalescedWrites,
-		RemappedLines:   st.RemappedLines,
-		RepairFailures:  st.RepairFailures,
-		DeviceErrors:    st.DeviceErrors,
-		ErrorRetries:    st.ErrorRetries,
-	}
+	return statsOf(m.eng.ShardStats(s), m.eng.ShardFailedCells(s))
 }
-
-// Counters returns live totals without taking shard locks; it can be
-// polled from a monitoring goroutine while batches run.
-func (m *ShardedMemory) Counters() LiveCounters { return m.eng.Counters() }
 
 // ResetStats clears accumulated statistics (device state is untouched).
 func (m *ShardedMemory) ResetStats() { m.eng.ResetStats() }

@@ -6,14 +6,16 @@ import (
 	"testing"
 
 	"repro/internal/prng"
+	"repro/internal/shard"
 )
 
 // fullConfig exercises every stochastic subsystem at once: MLC cells,
-// encryption, a fault map and endurance tracking.
-func fullConfig(lines int, seed uint64) MemoryConfig {
-	return MemoryConfig{
+// encryption, a fault map and endurance tracking. Shards is left at 0,
+// which builds one shard.
+func fullConfig(lines int, seed uint64) ShardedMemoryConfig {
+	return ShardedMemoryConfig{
 		Lines:           lines,
-		Encoder:         NewVCCEncoder(256),
+		NewEncoder:      func() Encoder { return NewVCCEncoder(256) },
 		Objective:       OptEnergy,
 		Key:             [32]byte{1, 2, 3},
 		FaultRate:       1e-2,
@@ -22,95 +24,56 @@ func fullConfig(lines int, seed uint64) MemoryConfig {
 	}
 }
 
-func shardedFrom(cfg MemoryConfig, shards, workers int) ShardedMemoryConfig {
-	return ShardedMemoryConfig{
-		Lines:           cfg.Lines,
-		Shards:          shards,
-		Workers:         workers,
-		NewEncoder:      func() Encoder { return NewVCCEncoder(256) },
-		Objective:       cfg.Objective,
-		Key:             cfg.Key,
-		FaultRate:       cfg.FaultRate,
-		EnduranceWrites: cfg.EnduranceWrites,
-		Seed:            cfg.Seed,
+// refBackend builds the sequential reference of a one-shard cfg: the
+// shard.Backend the engine runs, driven directly on the test goroutine
+// with no issue queue in between.
+func refBackend(t *testing.T, cfg ShardedMemoryConfig) *shard.Backend {
+	t.Helper()
+	b, err := shard.NewBackend(shard.BackendConfig{
+		Lines:             cfg.Lines,
+		Codec:             cfg.NewEncoder(),
+		Objective:         cfg.Objective,
+		SLC:               cfg.SLC,
+		DisableEncryption: cfg.DisableEncryption,
+		Key:               cfg.Key,
+		FaultRate:         cfg.FaultRate,
+		EnduranceWrites:   cfg.EnduranceWrites,
+		EnduranceCoV:      cfg.EnduranceCoV,
+		Seed:              cfg.Seed,
+		CacheLines:        cfg.CacheLines,
+		CachePolicy:       cfg.CachePolicy,
+		RemapSpares:       cfg.RemapSpares,
+		UseFaultRepo:      cfg.UseFaultRepo,
+		FaultRepoCache:    cfg.FaultRepoCache,
+		Chaos:             cfg.Chaos,
+		OpRetries:         cfg.OpRetries,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// checkCells compares the failed- and stuck-cell counts of a one-shard
+// memory with its reference backend.
+func checkCells(t *testing.T, m *ShardedMemory, ref *shard.Backend) {
+	t.Helper()
+	if got, want := m.Stats().FailedCells, ref.FailedCells(); got != want {
+		t.Errorf("failed cells diverge: engine %d, reference %d", got, want)
+	}
+	if got, want := m.StuckCells(), ref.Dev.Faults().NumStuckCells(); got != want {
+		t.Errorf("stuck cells diverge: engine %d, reference %d", got, want)
 	}
 }
 
-// TestShardedSingleShardBitIdentical is the acceptance criterion: a
-// one-shard ShardedMemory must reproduce Memory bit for bit — same
-// seed, same write sequence, identical Stats (exact float equality),
-// identical cell contents and stuck-cell counts.
-func TestShardedSingleShardBitIdentical(t *testing.T) {
-	const lines = 256
-	cfg := fullConfig(lines, 42)
-	seq, err := NewMemory(cfg)
-	if err != nil {
-		t.Fatal(err)
+// checkRef compares a one-shard memory with its reference backend: the
+// full store-stack statistics (exact float equality) plus checkCells.
+func checkRef(t *testing.T, m *ShardedMemory, ref *shard.Backend) {
+	t.Helper()
+	if got, want := m.eng.Stats(), ref.StackStats(); got != want {
+		t.Errorf("stats diverge:\nengine    %+v\nreference %+v", got, want)
 	}
-	sh, err := NewShardedMemory(shardedFrom(cfg, 1, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sh.StuckCells() != seq.StuckCells() {
-		t.Fatalf("initial stuck cells differ: sharded %d, sequential %d",
-			sh.StuckCells(), seq.StuckCells())
-	}
-
-	rng := prng.New(99)
-	var batch []WriteRequest
-	for i := 0; i < 2000; i++ {
-		line := rng.Intn(lines)
-		data := make([]byte, LineSize)
-		rng.Fill(data)
-		saw, err := seq.Write(line, data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i%3 != 0 {
-			batch = append(batch, WriteRequest{Line: line, Data: data})
-			continue
-		}
-		// One in three goes through the single-op path; flush the queued
-		// batch first so the sharded engine sees the same write order,
-		// then verify SAW agreement immediately.
-		if len(batch) > 0 {
-			if _, err := sh.WriteBatch(batch); err != nil {
-				t.Fatal(err)
-			}
-			batch = batch[:0]
-		}
-		got, err := sh.Write(line, data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != saw {
-			t.Fatalf("write %d: sharded SAW %d, sequential %d", i, got, saw)
-		}
-	}
-	if _, err := sh.WriteBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-
-	if got, want := sh.Stats(), seq.Stats(); got != want {
-		t.Errorf("stats diverge:\nsharded    %+v\nsequential %+v", got, want)
-	}
-	if sh.StuckCells() != seq.StuckCells() {
-		t.Errorf("stuck cells diverge: sharded %d, sequential %d",
-			sh.StuckCells(), seq.StuckCells())
-	}
-	for l := 0; l < lines; l++ {
-		a, err := seq.Read(l, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := sh.Read(l, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("line %d contents diverge", l)
-		}
-	}
+	checkCells(t, m, ref)
 }
 
 // TestShardedPartition checks the cross-shard address split: writing
@@ -126,16 +89,14 @@ func TestShardedPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := make([]WriteRequest, lines)
-	want := make([][]byte, lines)
+	ops := make([]Op, lines)
 	rng := prng.New(11)
-	for l := range reqs {
+	for l := range ops {
 		data := make([]byte, LineSize)
 		rng.Fill(data)
-		reqs[l] = WriteRequest{Line: l, Data: data}
-		want[l] = data
+		ops[l] = Op{Kind: OpWrite, Line: l, Data: data}
 	}
-	if _, err := m.WriteBatch(reqs); err != nil {
+	if _, err := m.Apply(ops, nil); err != nil {
 		t.Fatal(err)
 	}
 	var total int64
@@ -150,24 +111,61 @@ func TestShardedPartition(t *testing.T) {
 	if total != lines {
 		t.Errorf("shards served %d writes total, want %d", total, lines)
 	}
-	rd := make([]ReadRequest, lines)
+	rd := make([]Op, lines)
 	for l := range rd {
-		rd[l] = ReadRequest{Line: l}
+		rd[l] = Op{Kind: OpRead, Line: l}
 	}
-	out, err := m.ReadBatch(rd)
+	out, err := m.Apply(rd, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for l := range out {
-		if !bytes.Equal(out[l], want[l]) {
+		if !bytes.Equal(out[l].Data, ops[l].Data) {
 			t.Fatalf("line %d did not round-trip across the partition", l)
 		}
 	}
 }
 
+// TestShardStatsSumToStats: on a memory that tracks wear behind a
+// write-back cache, the per-shard statistics folded with Stats.Add in
+// shard order equal Stats exactly — failed cells and energy included.
+func TestShardStatsSumToStats(t *testing.T) {
+	const lines, shards = 64, 4
+	m, err := NewShardedMemory(ShardedMemoryConfig{
+		Lines: lines, Shards: shards, Seed: 4, EnduranceWrites: 30,
+		NewEncoder:  func() Encoder { return NewVCCEncoder(256) },
+		CacheLines:  4,
+		CachePolicy: WriteBack,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	rng := prng.New(12)
+	data := make([]byte, LineSize)
+	for i := 0; i < 2000; i++ {
+		rng.Fill(data)
+		if _, err := m.Write(rng.Intn(lines), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sum Stats
+	for s := 0; s < shards; s++ {
+		sum.Add(m.ShardStats(s))
+	}
+	st := m.Stats()
+	if st.FailedCells == 0 || st.Writebacks == 0 {
+		t.Fatalf("workload exercised neither wear nor writebacks: %+v", st)
+	}
+	if sum != st {
+		t.Errorf("per-shard stats do not sum to Stats:\nsum   %+v\nStats %+v", sum, st)
+	}
+}
+
 // TestShardedConcurrentWriters hammers one engine from many goroutines
-// mixing single writes, batches and reads; run under -race this is the
-// concurrency-safety check. Totals must come out exact.
+// mixing single writes, batches and reads, while the readers also poll
+// the lock-taking Stats and ShardStats snapshots; run under -race this
+// is the concurrency-safety check. Totals must come out exact.
 func TestShardedConcurrentWriters(t *testing.T) {
 	const (
 		lines      = 512
@@ -176,7 +174,7 @@ func TestShardedConcurrentWriters(t *testing.T) {
 		perG       = 300
 	)
 	m, err := NewShardedMemory(ShardedMemoryConfig{
-		Lines: lines, Shards: shards, Workers: 4, Seed: 3, FaultRate: 1e-3,
+		Lines: lines, Shards: shards, Seed: 3, FaultRate: 1e-3,
 		NewEncoder: func() Encoder { return NewVCCGeneratedEncoder(256) },
 	})
 	if err != nil {
@@ -189,7 +187,7 @@ func TestShardedConcurrentWriters(t *testing.T) {
 			defer wg.Done()
 			rng := prng.NewFrom(uint64(g), "writer")
 			buf := make([]byte, LineSize)
-			var batch []WriteRequest
+			var batch []Op
 			for i := 0; i < perG; i++ {
 				line := rng.Intn(lines)
 				rng.Fill(buf)
@@ -202,9 +200,9 @@ func TestShardedConcurrentWriters(t *testing.T) {
 				case 1:
 					data := make([]byte, LineSize)
 					copy(data, buf)
-					batch = append(batch, WriteRequest{Line: line, Data: data})
+					batch = append(batch, Op{Kind: OpWrite, Line: line, Data: data})
 					if len(batch) == 25 {
-						if _, err := m.WriteBatch(batch); err != nil {
+						if _, err := m.Apply(batch, nil); err != nil {
 							t.Error(err)
 							return
 						}
@@ -215,10 +213,12 @@ func TestShardedConcurrentWriters(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					_ = m.Counters() // poll live counters concurrently
+					// Poll the snapshots concurrently with the drainers.
+					_ = m.Stats()
+					_ = m.ShardStats(line % shards)
 				}
 			}
-			if _, err := m.WriteBatch(batch); err != nil {
+			if _, err := m.Apply(batch, nil); err != nil {
 				t.Error(err)
 			}
 		}(g)
@@ -237,35 +237,40 @@ func TestShardedConcurrentWriters(t *testing.T) {
 	if got := m.Stats().LineWrites; got != wantWrites {
 		t.Errorf("LineWrites %d after concurrent writers, want %d", got, wantWrites)
 	}
-	if got := m.Counters().LineWrites; got != wantWrites {
-		t.Errorf("live LineWrites %d, want %d", got, wantWrites)
+	var perShard int64
+	for s := 0; s < shards; s++ {
+		perShard += m.ShardStats(s).LineWrites
+	}
+	if perShard != wantWrites {
+		t.Errorf("per-shard LineWrites sum to %d, want %d", perShard, wantWrites)
 	}
 }
 
 // TestShardedMultiShardDeterminism: the same workload on two
 // identically-configured multi-shard engines yields identical stats.
 func TestShardedMultiShardDeterminism(t *testing.T) {
-	build := func(workers int) Stats {
+	build := func() Stats {
 		m, err := NewShardedMemory(ShardedMemoryConfig{
-			Lines: 300, Shards: 3, Workers: workers, Seed: 9, FaultRate: 1e-2,
+			Lines: 300, Shards: 3, Seed: 9, FaultRate: 1e-2,
 			NewEncoder: func() Encoder { return NewRCCEncoder(64) },
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer m.Close()
 		rng := prng.New(17)
-		reqs := make([]WriteRequest, 900)
-		for i := range reqs {
+		ops := make([]Op, 900)
+		for i := range ops {
 			data := make([]byte, LineSize)
 			rng.Fill(data)
-			reqs[i] = WriteRequest{Line: rng.Intn(300), Data: data}
+			ops[i] = Op{Kind: OpWrite, Line: rng.Intn(300), Data: data}
 		}
-		if _, err := m.WriteBatch(reqs); err != nil {
+		if _, err := m.Apply(ops, nil); err != nil {
 			t.Fatal(err)
 		}
 		return m.Stats()
 	}
-	if a, b := build(1), build(8); a != b {
-		t.Errorf("multi-shard stats depend on worker count:\n1 worker  %+v\n8 workers %+v", a, b)
+	if a, b := build(), build(); a != b {
+		t.Errorf("multi-shard stats differ across repeated runs:\nfirst  %+v\nsecond %+v", a, b)
 	}
 }

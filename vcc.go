@@ -8,23 +8,24 @@
 //     Flip-N-Write/DBI and Flipcy baselines, all selecting candidates
 //     under pluggable cost objectives (bit flips, MLC write energy,
 //     stuck-at-wrong masking).
-//   - Memory: a simulated encrypted MLC/SLC PCM main memory — AES-CTR
-//     encryption unit, coset encoder, fault injection, endurance — with
-//     cache-line Read/Write and detailed energy/wear statistics.
-//   - ShardedMemory: the concurrency-safe variant, interleaving the line
-//     address space across independent shards, with synchronous batched
-//     I/O and an asynchronous Session/Submit/Ticket path over bounded
-//     per-shard issue queues (bit-identical to Memory at one shard).
+//   - ShardedMemory: a simulated encrypted MLC/SLC PCM main memory —
+//     AES-CTR encryption unit, coset encoder, fault injection,
+//     endurance — with cache-line Read/Write, mixed Apply batches and
+//     detailed energy/wear statistics. It is safe for concurrent use:
+//     the line address space can be interleaved across independent
+//     shards, and every request, synchronous or through the
+//     asynchronous Session/Submit/Ticket path, flows through bounded
+//     per-shard issue queues.
 //   - The experiment registry regenerating every table and figure of the
 //     paper (see cmd/vccrepro and EXPERIMENTS.md).
 //
 // Quick start (see examples/quickstart for the runnable version):
 //
-//	mem, _ := vcc.NewMemory(vcc.MemoryConfig{
-//		Lines:     1024,
-//		Encoder:   vcc.NewVCCEncoder(256),
-//		Objective: vcc.OptEnergy,
-//		Seed:      42,
+//	mem, _ := vcc.NewShardedMemory(vcc.ShardedMemoryConfig{
+//		Lines:      1024,
+//		NewEncoder: func() vcc.Encoder { return vcc.NewVCCEncoder(256) },
+//		Objective:  vcc.OptEnergy,
+//		Seed:       42,
 //	})
 //	mem.Write(7, line)          // encrypts, encodes, programs cells
 //	data, _ := mem.Read(7, nil) // decodes, decrypts
@@ -32,16 +33,12 @@
 package vcc
 
 import (
-	"fmt"
-
 	"repro/internal/coset"
 	"repro/internal/cryptmem"
 	"repro/internal/memctrl"
-	"repro/internal/pcm"
-	"repro/internal/shard"
 )
 
-// LineSize is the cache-line granularity of Memory I/O, in bytes.
+// LineSize is the cache-line granularity of memory I/O, in bytes.
 const LineSize = cryptmem.LineSize
 
 // Objective selects what the encoder minimizes. OptEnergy and OptSAW are
@@ -91,44 +88,6 @@ func NewFlipcyEncoder() Encoder { return coset.NewFlipcy(64) }
 
 // NewUnencoded returns the identity (unencoded) baseline.
 func NewUnencoded() Encoder { return coset.NewIdentity(64) }
-
-// MemoryConfig assembles a simulated encrypted PCM main memory.
-type MemoryConfig struct {
-	// Lines is the memory capacity in 64-byte cache lines.
-	Lines int
-	// Encoder transforms blocks before they reach the cells; defaults
-	// to NewVCCEncoder(256).
-	Encoder Encoder
-	// Objective drives candidate selection; the zero value is OptFlips
-	// (classic write reduction). The paper's headline results use
-	// OptEnergy or OptSAW — set one explicitly to reproduce them.
-	Objective Objective
-	// SLC selects single-level cells (default is the paper's 2-bit MLC).
-	SLC bool
-	// DisableEncryption bypasses the AES-CTR unit (ablations only; the
-	// paper's threat model requires encryption).
-	DisableEncryption bool
-	// Key is the AES-256 key for the encryption unit.
-	Key [32]byte
-	// FaultRate pre-generates a stuck-at fault map at this per-cell rate
-	// (the paper's snapshot experiments use 1e-2). 0 disables.
-	FaultRate float64
-	// EnduranceWrites enables wear tracking with this mean cell lifetime
-	// in energy-weighted wear units (see pcm.Wear). 0 disables.
-	EnduranceWrites float64
-	// EnduranceCoV is the lifetime coefficient of variation (default
-	// 0.2, the paper's value) when wear tracking is on.
-	EnduranceCoV float64
-	// Seed drives all stochastic initialization.
-	Seed uint64
-}
-
-// Memory is an encrypted, coset-encoded, fault- and wear-aware simulated
-// PCM main memory addressed in cache lines.
-type Memory struct {
-	ctrl *memctrl.Controller
-	dev  *pcm.Device
-}
 
 // Stats reports accumulated access-path statistics.
 type Stats struct {
@@ -227,93 +186,25 @@ func (s Stats) Delta(o Stats) Stats {
 	}
 }
 
-// NewMemory builds a Memory from cfg. The pipeline assembly lives in
-// internal/shard (NewMemory builds exactly one shard's backend), so the
-// sequential engine and every shard of a ShardedMemory are the same
-// construction by design.
-func NewMemory(cfg MemoryConfig) (*Memory, error) {
-	if cfg.Lines <= 0 {
-		return nil, fmt.Errorf("vcc: Lines must be positive, got %d", cfg.Lines)
-	}
-	if cfg.Encoder == nil {
-		cfg.Encoder = NewVCCEncoder(256)
-	}
-	b, err := shard.NewBackend(shard.BackendConfig{
-		Lines:             cfg.Lines,
-		Codec:             cfg.Encoder,
-		Objective:         cfg.Objective,
-		SLC:               cfg.SLC,
-		DisableEncryption: cfg.DisableEncryption,
-		Key:               cfg.Key,
-		FaultRate:         cfg.FaultRate,
-		EnduranceWrites:   cfg.EnduranceWrites,
-		EnduranceCoV:      cfg.EnduranceCoV,
-		Seed:              cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Memory{ctrl: b.Ctrl, dev: b.Dev}, nil
-}
-
-// Lines returns the capacity in cache lines.
-func (m *Memory) Lines() int { return m.ctrl.NumLines() }
-
-// Write stores a 64-byte cache line at the given line index through the
-// full encrypt-encode-program pipeline. It returns the number of
-// stuck-at-wrong cells the write could not avoid (0 means the line is
-// stored faithfully).
-func (m *Memory) Write(line int, data []byte) (sawCells int, err error) {
-	if line < 0 || line >= m.ctrl.NumLines() {
-		return 0, fmt.Errorf("vcc: line %d out of range [0,%d)", line, m.ctrl.NumLines())
-	}
-	if len(data) != LineSize {
-		return 0, fmt.Errorf("vcc: Write needs %d bytes, got %d", LineSize, len(data))
-	}
-	outc, err := m.ctrl.WriteLine(line, data)
-	if err != nil {
-		return 0, err
-	}
-	for _, o := range outc {
-		sawCells += o.SAWCells
-	}
-	return sawCells, nil
-}
-
-// Read retrieves a cache line through decode and decryption into dst
-// (allocated when nil). Data stored over stuck-at-wrong cells reads back
-// corrupted, exactly as it would from the physical device.
-func (m *Memory) Read(line int, dst []byte) ([]byte, error) {
-	if line < 0 || line >= m.ctrl.NumLines() {
-		return nil, fmt.Errorf("vcc: line %d out of range [0,%d)", line, m.ctrl.NumLines())
-	}
-	if dst != nil && len(dst) != LineSize {
-		return nil, fmt.Errorf("vcc: Read needs a %d-byte buffer", LineSize)
-	}
-	return m.ctrl.ReadLine(line, dst)
-}
-
-// Stats returns accumulated statistics.
-func (m *Memory) Stats() Stats {
-	s := m.ctrl.Stats()
-	var failed int64
-	if w := m.dev.Config().Wear; w != nil {
-		failed = int64(w.FailedCells())
-	}
+// statsOf converts store-stack statistics plus a failed-cell count into
+// the public Stats.
+func statsOf(s memctrl.Stats, failedCells int64) Stats {
 	return Stats{
-		LineWrites:  s.LineWrites,
-		LineReads:   s.LineReads,
-		EnergyPJ:    s.EnergyPJ,
-		BitFlips:    s.BitFlips,
-		CellChanges: s.CellChanges,
-		SAWCells:    s.SAWCells,
-		FailedCells: failed,
+		LineWrites:      s.LineWrites,
+		LineReads:       s.LineReads,
+		EnergyPJ:        s.EnergyPJ,
+		BitFlips:        s.BitFlips,
+		CellChanges:     s.CellChanges,
+		SAWCells:        s.SAWCells,
+		FailedCells:     failedCells,
+		CacheHits:       s.CacheHits,
+		CacheMisses:     s.CacheMisses,
+		CacheEvictions:  s.CacheEvictions,
+		Writebacks:      s.Writebacks,
+		CoalescedWrites: s.CoalescedWrites,
+		RemappedLines:   s.RemappedLines,
+		RepairFailures:  s.RepairFailures,
+		DeviceErrors:    s.DeviceErrors,
+		ErrorRetries:    s.ErrorRetries,
 	}
 }
-
-// ResetStats clears accumulated statistics (device state is untouched).
-func (m *Memory) ResetStats() { m.ctrl.ResetStats() }
-
-// StuckCells returns the current number of permanently stuck cells
-// (pre-generated faults plus endurance failures).
-func (m *Memory) StuckCells() int { return m.dev.Faults().NumStuckCells() }

@@ -18,8 +18,8 @@ func TestMemoryRoundTrip(t *testing.T) {
 		NewVCCEncoder(256), NewVCCGeneratedEncoder(256), NewRCCEncoder(64),
 		NewFNWEncoder(16), NewFlipcyEncoder(), NewUnencoded(),
 	} {
-		mem, err := NewMemory(MemoryConfig{Lines: 32, Encoder: enc,
-			Objective: OptEnergy, Seed: 1})
+		mem, err := NewShardedMemory(ShardedMemoryConfig{Lines: 32,
+			NewEncoder: func() Encoder { return enc }, Objective: OptEnergy, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func TestMemoryRoundTrip(t *testing.T) {
 }
 
 func TestMemoryDefaults(t *testing.T) {
-	mem, err := NewMemory(MemoryConfig{Lines: 8, Seed: 2})
+	mem, err := NewShardedMemory(ShardedMemoryConfig{Lines: 8, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,10 +56,10 @@ func TestMemoryDefaults(t *testing.T) {
 }
 
 func TestMemoryValidation(t *testing.T) {
-	if _, err := NewMemory(MemoryConfig{}); err == nil {
+	if _, err := NewShardedMemory(ShardedMemoryConfig{}); err == nil {
 		t.Error("zero lines accepted")
 	}
-	mem, _ := NewMemory(MemoryConfig{Lines: 4, Seed: 3})
+	mem, _ := NewShardedMemory(ShardedMemoryConfig{Lines: 4, Seed: 3})
 	if _, err := mem.Write(99, line(0)); err == nil {
 		t.Error("out-of-range write accepted")
 	}
@@ -75,7 +75,7 @@ func TestMemoryValidation(t *testing.T) {
 }
 
 func TestMemoryWithFaultsReportsSAW(t *testing.T) {
-	mem, _ := NewMemory(MemoryConfig{Lines: 256, Encoder: NewUnencoded(),
+	mem, _ := NewShardedMemory(ShardedMemoryConfig{Lines: 256, NewEncoder: NewUnencoded,
 		FaultRate: 2e-2, Seed: 4})
 	var total int
 	for l := 0; l < mem.Lines(); l++ {
@@ -92,8 +92,9 @@ func TestMemoryWithFaultsReportsSAW(t *testing.T) {
 		t.Error("StuckCells should reflect the fault map")
 	}
 	// VCC masks most of them on the same fault landscape.
-	memV, _ := NewMemory(MemoryConfig{Lines: 256, Encoder: NewVCCEncoder(256),
-		Objective: OptSAW, FaultRate: 2e-2, Seed: 4})
+	memV, _ := NewShardedMemory(ShardedMemoryConfig{Lines: 256,
+		NewEncoder: func() Encoder { return NewVCCEncoder(256) },
+		Objective:  OptSAW, FaultRate: 2e-2, Seed: 4})
 	var totalV int
 	for l := 0; l < memV.Lines(); l++ {
 		saw, _ := memV.Write(l, line(byte(l)))
@@ -105,7 +106,7 @@ func TestMemoryWithFaultsReportsSAW(t *testing.T) {
 }
 
 func TestMemoryWearTracking(t *testing.T) {
-	mem, _ := NewMemory(MemoryConfig{Lines: 4, EnduranceWrites: 30, Seed: 5})
+	mem, _ := NewShardedMemory(ShardedMemoryConfig{Lines: 4, EnduranceWrites: 30, Seed: 5})
 	for i := 0; i < 400; i++ {
 		if _, err := mem.Write(i%4, line(byte(i))); err != nil {
 			t.Fatal(err)
@@ -120,8 +121,8 @@ func TestMemoryWearTracking(t *testing.T) {
 }
 
 func TestMemorySLC(t *testing.T) {
-	mem, err := NewMemory(MemoryConfig{Lines: 8, SLC: true,
-		Encoder: NewVCCEncoder(256), Objective: OptFlips, Seed: 6})
+	mem, err := NewShardedMemory(ShardedMemoryConfig{Lines: 8, SLC: true,
+		NewEncoder: func() Encoder { return NewVCCEncoder(256) }, Objective: OptFlips, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestMemorySLC(t *testing.T) {
 }
 
 func TestMemoryUnencryptedAblation(t *testing.T) {
-	mem, _ := NewMemory(MemoryConfig{Lines: 8, DisableEncryption: true, Seed: 7})
+	mem, _ := NewShardedMemory(ShardedMemoryConfig{Lines: 8, DisableEncryption: true, Seed: 7})
 	mem.Write(2, line(1))
 	got, _ := mem.Read(2, nil)
 	if !bytes.Equal(got, line(1)) {
@@ -142,7 +143,7 @@ func TestMemoryUnencryptedAblation(t *testing.T) {
 }
 
 func TestResetStats(t *testing.T) {
-	mem, _ := NewMemory(MemoryConfig{Lines: 4, Seed: 8})
+	mem, _ := NewShardedMemory(ShardedMemoryConfig{Lines: 4, Seed: 8})
 	mem.Write(0, line(0))
 	mem.ResetStats()
 	if mem.Stats().LineWrites != 0 {
@@ -163,7 +164,7 @@ func TestEncoderConstructorsDistinct(t *testing.T) {
 	}
 }
 
-// TestMemoryModelBased drives a fault-free Memory with a random
+// TestMemoryModelBased drives a fault-free memory with a random
 // operation sequence and checks it against a plain map reference model:
 // whatever was written last to a line is what reads back, regardless of
 // encoder, interleaving, or overwrite count.
@@ -171,7 +172,8 @@ func TestMemoryModelBased(t *testing.T) {
 	rng := newTestRand(99)
 	for _, enc := range []Encoder{NewVCCEncoder(64), NewVCCGeneratedEncoder(64),
 		NewRCCEncoder(32), NewFNWEncoder(16)} {
-		mem, err := NewMemory(MemoryConfig{Lines: 16, Encoder: enc, Seed: 5})
+		mem, err := NewShardedMemory(ShardedMemoryConfig{Lines: 16,
+			NewEncoder: func() Encoder { return enc }, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
