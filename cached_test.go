@@ -136,10 +136,12 @@ func TestWriteThroughOracle(t *testing.T) {
 
 // TestWriteBackOracle is the acceptance criterion for the deferred
 // policy: the write-back engine must match its backend driven directly
-// op for op, including every deferred writeback, and in a fault-free
-// configuration the final plaintext after Flush must be the last write
-// to each line, while the hot workload's device writebacks come out
-// strictly below the logical write count.
+// op for op, including every deferred writeback; in a fault-free
+// configuration every line's plaintext after Flush must match an
+// uncached backend that saw the same writes (written or not, so a
+// defect shared by both write-back stacks still shows), while the hot
+// workload's device writebacks come out strictly below the logical
+// write count.
 func TestWriteBackOracle(t *testing.T) {
 	const lines = 256
 	cfg := ShardedMemoryConfig{
@@ -152,6 +154,9 @@ func TestWriteBackOracle(t *testing.T) {
 		CachePolicy: WriteBack,
 	}
 	ref := refBackend(t, cfg)
+	uncachedCfg := cfg
+	uncachedCfg.CacheLines = 0
+	uncached := refBackend(t, uncachedCfg)
 	sh, err := NewShardedMemory(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -170,6 +175,9 @@ func TestWriteBackOracle(t *testing.T) {
 		if ops[i].Kind == OpWrite {
 			logicalWrites++
 			lastWritten[ops[i].Line] = ops[i].Data
+			if _, err := uncached.WriteLine(ops[i].Line, ops[i].Data); err != nil {
+				t.Fatal(err)
+			}
 			saw, err := ref.WriteLine(ops[i].Line, ops[i].Data)
 			if err != nil {
 				t.Fatal(err)
@@ -215,6 +223,13 @@ func TestWriteBackOracle(t *testing.T) {
 		got, err := sh.Read(l, nil)
 		if err != nil {
 			t.Fatal(err)
+		}
+		want, err := uncached.ReadLine(l, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("line %d: final plaintext diverges from the uncached backend", l)
 		}
 		if lastWritten[l] != nil && !bytes.Equal(got, lastWritten[l]) {
 			t.Fatalf("line %d: final plaintext is not the last write", l)

@@ -20,6 +20,7 @@ func ExampleNewShardedMemory() {
 	if err != nil {
 		panic(err)
 	}
+	defer mem.Close()
 	line := bytes.Repeat([]byte{0xAB}, vcc.LineSize)
 	if _, err := mem.Write(3, line); err != nil {
 		panic(err)
@@ -98,8 +99,10 @@ func ExampleNewShardedMemory_faultMasking() {
 
 	cfg.NewEncoder = vcc.NewUnencoded
 	plain, _ := vcc.NewShardedMemory(cfg)
+	defer plain.Close()
 	cfg.NewEncoder = func() vcc.Encoder { return vcc.NewVCCEncoder(256) }
 	encoded, _ := vcc.NewShardedMemory(cfg)
+	defer encoded.Close()
 
 	var sawPlain, sawVCC int
 	for l := 0; l < 256; l++ {

@@ -105,6 +105,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer mem.Close()
 	fmt.Printf("memory: %d lines, %d stuck cells\n", mem.Lines(), mem.StuckCells())
 
 	st := newStore(mem)

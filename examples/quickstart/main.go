@@ -25,6 +25,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer mem.Close()
 
 	// A cache line of very biased plaintext: without encryption this
 	// would be trivially compressible; with AES-CTR in the path, the
@@ -53,6 +54,7 @@ func main() {
 	plain, _ := vcc.NewShardedMemory(vcc.ShardedMemoryConfig{
 		Lines: 1024, NewEncoder: vcc.NewUnencoded, Seed: 42,
 	})
+	defer plain.Close()
 	plain.Write(7, line)
 	fmt.Printf("unencoded:     %.1f pJ for the same line\n", plain.Stats().EnergyPJ)
 	fmt.Printf("VCC saving:    %.1f%%\n",

@@ -27,6 +27,7 @@
 //		Objective:  vcc.OptEnergy,
 //		Seed:       42,
 //	})
+//	defer mem.Close()
 //	mem.Write(7, line)          // encrypts, encodes, programs cells
 //	data, _ := mem.Read(7, nil) // decodes, decrypts
 //	fmt.Println(mem.Stats().EnergyPJ)

@@ -14,12 +14,16 @@ func line(seed byte) []byte {
 }
 
 func TestMemoryRoundTrip(t *testing.T) {
-	for _, enc := range []Encoder{
-		NewVCCEncoder(256), NewVCCGeneratedEncoder(256), NewRCCEncoder(64),
-		NewFNWEncoder(16), NewFlipcyEncoder(), NewUnencoded(),
+	for _, newEnc := range []func() Encoder{
+		func() Encoder { return NewVCCEncoder(256) },
+		func() Encoder { return NewVCCGeneratedEncoder(256) },
+		func() Encoder { return NewRCCEncoder(64) },
+		func() Encoder { return NewFNWEncoder(16) },
+		NewFlipcyEncoder, NewUnencoded,
 	} {
+		name := newEnc().Name()
 		mem, err := NewShardedMemory(ShardedMemoryConfig{Lines: 32,
-			NewEncoder: func() Encoder { return enc }, Objective: OptEnergy, Seed: 1})
+			NewEncoder: newEnc, Objective: OptEnergy, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,9 +36,10 @@ func TestMemoryRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, line(byte(l))) {
-				t.Fatalf("%s: line %d corrupted", enc.Name(), l)
+				t.Fatalf("%s: line %d corrupted", name, l)
 			}
 		}
+		mem.Close()
 	}
 }
 
@@ -43,6 +48,7 @@ func TestMemoryDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer mem.Close()
 	if _, err := mem.Write(0, line(9)); err != nil {
 		t.Fatal(err)
 	}
@@ -60,6 +66,7 @@ func TestMemoryValidation(t *testing.T) {
 		t.Error("zero lines accepted")
 	}
 	mem, _ := NewShardedMemory(ShardedMemoryConfig{Lines: 4, Seed: 3})
+	defer mem.Close()
 	if _, err := mem.Write(99, line(0)); err == nil {
 		t.Error("out-of-range write accepted")
 	}
@@ -77,6 +84,7 @@ func TestMemoryValidation(t *testing.T) {
 func TestMemoryWithFaultsReportsSAW(t *testing.T) {
 	mem, _ := NewShardedMemory(ShardedMemoryConfig{Lines: 256, NewEncoder: NewUnencoded,
 		FaultRate: 2e-2, Seed: 4})
+	defer mem.Close()
 	var total int
 	for l := 0; l < mem.Lines(); l++ {
 		saw, err := mem.Write(l, line(byte(l)))
@@ -95,6 +103,7 @@ func TestMemoryWithFaultsReportsSAW(t *testing.T) {
 	memV, _ := NewShardedMemory(ShardedMemoryConfig{Lines: 256,
 		NewEncoder: func() Encoder { return NewVCCEncoder(256) },
 		Objective:  OptSAW, FaultRate: 2e-2, Seed: 4})
+	defer memV.Close()
 	var totalV int
 	for l := 0; l < memV.Lines(); l++ {
 		saw, _ := memV.Write(l, line(byte(l)))
@@ -107,6 +116,7 @@ func TestMemoryWithFaultsReportsSAW(t *testing.T) {
 
 func TestMemoryWearTracking(t *testing.T) {
 	mem, _ := NewShardedMemory(ShardedMemoryConfig{Lines: 4, EnduranceWrites: 30, Seed: 5})
+	defer mem.Close()
 	for i := 0; i < 400; i++ {
 		if _, err := mem.Write(i%4, line(byte(i))); err != nil {
 			t.Fatal(err)
@@ -126,6 +136,7 @@ func TestMemorySLC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer mem.Close()
 	mem.Write(1, line(7))
 	got, _ := mem.Read(1, nil)
 	if !bytes.Equal(got, line(7)) {
@@ -135,6 +146,7 @@ func TestMemorySLC(t *testing.T) {
 
 func TestMemoryUnencryptedAblation(t *testing.T) {
 	mem, _ := NewShardedMemory(ShardedMemoryConfig{Lines: 8, DisableEncryption: true, Seed: 7})
+	defer mem.Close()
 	mem.Write(2, line(1))
 	got, _ := mem.Read(2, nil)
 	if !bytes.Equal(got, line(1)) {
@@ -144,6 +156,7 @@ func TestMemoryUnencryptedAblation(t *testing.T) {
 
 func TestResetStats(t *testing.T) {
 	mem, _ := NewShardedMemory(ShardedMemoryConfig{Lines: 4, Seed: 8})
+	defer mem.Close()
 	mem.Write(0, line(0))
 	mem.ResetStats()
 	if mem.Stats().LineWrites != 0 {
@@ -170,10 +183,15 @@ func TestEncoderConstructorsDistinct(t *testing.T) {
 // encoder, interleaving, or overwrite count.
 func TestMemoryModelBased(t *testing.T) {
 	rng := newTestRand(99)
-	for _, enc := range []Encoder{NewVCCEncoder(64), NewVCCGeneratedEncoder(64),
-		NewRCCEncoder(32), NewFNWEncoder(16)} {
+	for _, newEnc := range []func() Encoder{
+		func() Encoder { return NewVCCEncoder(64) },
+		func() Encoder { return NewVCCGeneratedEncoder(64) },
+		func() Encoder { return NewRCCEncoder(32) },
+		func() Encoder { return NewFNWEncoder(16) },
+	} {
+		name := newEnc().Name()
 		mem, err := NewShardedMemory(ShardedMemoryConfig{Lines: 16,
-			NewEncoder: func() Encoder { return enc }, Seed: 5})
+			NewEncoder: newEnc, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,10 +212,11 @@ func TestMemoryModelBased(t *testing.T) {
 				}
 				if !bytes.Equal(got, model[l]) {
 					t.Fatalf("%s: op %d line %d: memory diverged from model",
-						enc.Name(), op, l)
+						name, op, l)
 				}
 			}
 		}
+		mem.Close()
 	}
 }
 
