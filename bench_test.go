@@ -63,7 +63,6 @@ func BenchmarkAblateCAFO(b *testing.B)       { benchExperiment(b, "ablate-cafo")
 func BenchmarkShardReplay(b *testing.B)      { benchExperiment(b, "shard-replay") }
 func BenchmarkWorkloadSweep(b *testing.B)    { benchExperiment(b, "workload-sweep") }
 func BenchmarkCacheSweep(b *testing.B)       { benchExperiment(b, "cache-sweep") }
-func BenchmarkAsyncSweep(b *testing.B)       { benchExperiment(b, "async-sweep") }
 
 // --- encoder micro-benchmarks -----------------------------------------
 

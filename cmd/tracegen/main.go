@@ -12,24 +12,16 @@
 //	tracegen -replay -in lbm.vcct -shards 8 -encoder rcc
 //	tracegen -bench mcf_s -n 100000 -replay -readfrac -1   # mixed ops at the spec's read fraction
 //	tracegen -replay -mix "seq:0.5,zipf:0.4,chase:0.1" -readfrac 0.6 -n 100000
-//	tracegen -bench lbm_s -n 100000 -replay -shards 4 -async -inflight 8
 //	tracegen -bench mcf_s -n 100000 -replay -fault 1e-3 -remapspares 64 -faultrepo
 //
 // Replay mode drives the access stream through the full
 // encrypt-encode-program pipeline of a vcc.ShardedMemory equivalent
 // (internal/shard) via its mixed op path (Engine.Apply) and reports
-// read/write statistics and throughput in lines/sec. The input is a
-// saved .vcct file (-in), the generated stream of -bench, or a
-// synthetic workload mixture (-mix, over the internal/workload
-// patterns seq, zipf, stride and chase). -readfrac interleaves reads
-// into any of the three; with -bench, -readfrac -1 uses the
-// benchmark's own characterized read fraction.
-//
-// -async replays the identical stream twice — a synchronous Apply
-// baseline and a pipelined run keeping -inflight tickets in flight
-// through the engine's issue queues — and reports the throughput split
-// plus a bit-identity check of the two runs' statistics. Pipelining
-// only gains wall clock on multi-core hosts.
+// read/write statistics. The input is a saved .vcct file (-in), the
+// generated stream of -bench, or a synthetic workload mixture (-mix,
+// over the internal/workload patterns seq, zipf, stride and chase).
+// -readfrac interleaves reads into any of the three; with -bench,
+// -readfrac -1 uses the benchmark's own characterized read fraction.
 package main
 
 import (
@@ -37,11 +29,9 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"time"
 
 	"repro/internal/coset"
 	"repro/internal/linecache"
-	"repro/internal/memctrl"
 	"repro/internal/prng"
 	"repro/internal/shard"
 	"repro/internal/trace"
@@ -50,31 +40,29 @@ import (
 
 func main() {
 	var (
-		list     = flag.Bool("list", false, "list available benchmarks")
-		bench    = flag.String("bench", "", "benchmark name")
-		n        = flag.Int("n", 100000, "number of writeback records")
-		seed     = flag.Uint64("seed", 1, "generator seed")
-		out      = flag.String("o", "", "output file (default <bench>.vcct)")
-		stats    = flag.Bool("stats", false, "print address-stream statistics instead of writing a file")
-		replay   = flag.Bool("replay", false, "replay the trace through the sharded memory engine")
-		in       = flag.String("in", "", "replay a saved .vcct file instead of generating")
-		mix      = flag.String("mix", "", "replay a synthetic workload mixture, e.g. \"seq:0.5,zipf:0.4,chase:0.1\" (patterns: seq, zipf, stride, chase)")
-		rfrac    = flag.Float64("readfrac", 0, "replay: fraction of ops issued as reads; -1 = the benchmark spec's characterized read fraction")
-		zipfS    = flag.Float64("zipfs", 1.2, "replay -mix: Zipf skew of the zipf pattern")
-		stride   = flag.Int("stride", 64, "replay -mix: stride of the stride pattern")
-		shards   = flag.Int("shards", 1, "replay: shard count")
-		memLine  = flag.Int("lines", 1<<16, "replay: memory capacity in cache lines")
-		batch    = flag.Int("batch", 256, "replay: writes per dispatched batch")
-		encoder  = flag.String("encoder", "vcc", "replay: vcc|vccgen|rcc|fnw|flipcy|none")
-		fault    = flag.Float64("fault", 0, "replay: per-cell stuck-at fault rate")
-		spares   = flag.Int("remapspares", 0, "replay: per-shard spare-line pool for the fault-remapping decorator; 0 = no remapping")
-		frepo    = flag.Bool("faultrepo", false, "replay: track discovered stuck-at cells in a per-shard fault repository (informed remap + in-place retry)")
-		slc      = flag.Bool("slc", false, "replay: single-level cells instead of MLC")
-		cache    = flag.Bool("cache", false, "replay: front each shard with a decoded-line LRU cache")
-		cacheLn  = flag.Int("cachelines", 1024, "replay -cache: per-shard cache capacity in lines")
-		cachePl  = flag.String("cachepolicy", "wt", "replay -cache: write policy, writethrough|wt|writeback|wb")
-		async    = flag.Bool("async", false, "replay: pipeline batches through the asynchronous Submit path and report the sync-vs-async throughput split")
-		inflight = flag.Int("inflight", 4, "replay -async: tickets kept in flight per producer")
+		list    = flag.Bool("list", false, "list available benchmarks")
+		bench   = flag.String("bench", "", "benchmark name")
+		n       = flag.Int("n", 100000, "number of writeback records")
+		seed    = flag.Uint64("seed", 1, "generator seed")
+		out     = flag.String("o", "", "output file (default <bench>.vcct)")
+		stats   = flag.Bool("stats", false, "print address-stream statistics instead of writing a file")
+		replay  = flag.Bool("replay", false, "replay the trace through the sharded memory engine")
+		in      = flag.String("in", "", "replay a saved .vcct file instead of generating")
+		mix     = flag.String("mix", "", "replay a synthetic workload mixture, e.g. \"seq:0.5,zipf:0.4,chase:0.1\" (patterns: seq, zipf, stride, chase)")
+		rfrac   = flag.Float64("readfrac", 0, "replay: fraction of ops issued as reads; -1 = the benchmark spec's characterized read fraction")
+		zipfS   = flag.Float64("zipfs", 1.2, "replay -mix: Zipf skew of the zipf pattern")
+		stride  = flag.Int("stride", 64, "replay -mix: stride of the stride pattern")
+		shards  = flag.Int("shards", 1, "replay: shard count")
+		memLine = flag.Int("lines", 1<<16, "replay: memory capacity in cache lines")
+		batch   = flag.Int("batch", 256, "replay: writes per dispatched batch")
+		encoder = flag.String("encoder", "vcc", "replay: vcc|vccgen|rcc|fnw|flipcy|none")
+		fault   = flag.Float64("fault", 0, "replay: per-cell stuck-at fault rate")
+		spares  = flag.Int("remapspares", 0, "replay: per-shard spare-line pool for the fault-remapping decorator; 0 = no remapping")
+		frepo   = flag.Bool("faultrepo", false, "replay: track discovered stuck-at cells in a per-shard fault repository (informed remap + in-place retry)")
+		slc     = flag.Bool("slc", false, "replay: single-level cells instead of MLC")
+		cache   = flag.Bool("cache", false, "replay: front each shard with a decoded-line LRU cache")
+		cacheLn = flag.Int("cachelines", 1024, "replay -cache: per-shard cache capacity in lines")
+		cachePl = flag.String("cachepolicy", "wt", "replay -cache: write policy, writethrough|wt|writeback|wb")
 	)
 	flag.Parse()
 
@@ -84,6 +72,10 @@ func main() {
 				s.Name, s.Lines, s.ZipfS, 100*s.StreamFrac, s.WriteIntensity)
 		}
 		return
+	}
+	if *n < 1 {
+		fmt.Fprintf(os.Stderr, "tracegen: -n %d must be at least 1\n", *n)
+		os.Exit(2)
 	}
 
 	fail := func(err error) {
@@ -115,10 +107,6 @@ func main() {
 				os.Exit(2)
 			}
 		}
-		if *async && *inflight < 1 {
-			fmt.Fprintf(os.Stderr, "tracegen: -inflight %d must be at least 1\n", *inflight)
-			os.Exit(2)
-		}
 		if *spares < 0 {
 			fmt.Fprintf(os.Stderr, "tracegen: -remapspares %d must be non-negative\n", *spares)
 			os.Exit(2)
@@ -129,12 +117,8 @@ func main() {
 			spares: *spares, faultRepo: *frepo,
 			readFrac: *rfrac,
 			cache:    *cache, cacheLines: *cacheLn, cachePolicy: policy,
-			async: *async, inFlight: *inflight,
 		}
-		// The replay source is built through a factory: -async replays the
-		// identical stream twice (sync baseline, then pipelined) to report
-		// the throughput split, so sources must be reconstructible.
-		var mkSource func() (opSource, error)
+		var src opSource
 		switch {
 		case *in != "":
 			f, err := os.Open(*in)
@@ -146,20 +130,23 @@ func main() {
 			if err != nil {
 				fail(err)
 			}
-			mkSource = func() (opSource, error) { return newRecordSource(records, cfg), nil }
+			src = newRecordSource(records, cfg)
 		case *mix != "":
-			mkSource = func() (opSource, error) { return newMixSource(*mix, *n, *zipfS, *stride, cfg) }
+			var err error
+			if src, err = newMixSource(*mix, *n, *zipfS, *stride, cfg); err != nil {
+				fail(err)
+			}
 		case *bench != "":
 			spec, err := trace.SpecByName(*bench)
 			if err != nil {
 				fail(err)
 			}
-			mkSource = func() (opSource, error) { return newBenchSource(spec, *n, cfg), nil }
+			src = newBenchSource(spec, *n, cfg)
 		default:
 			fmt.Fprintln(os.Stderr, "tracegen: -replay needs -bench, -in or -mix (see -list)")
 			os.Exit(2)
 		}
-		if err := runReplay(mkSource, cfg); err != nil {
+		if err := runReplay(src, cfg); err != nil {
 			fail(err)
 		}
 		return
@@ -228,10 +215,6 @@ type replayConfig struct {
 	cache       bool
 	cacheLines  int
 	cachePolicy linecache.Policy
-	// async replays twice — synchronous Apply baseline, then pipelined
-	// Submit with inFlight tickets per producer — and reports the split.
-	async    bool
-	inFlight int
 }
 
 // opSource feeds the replay loop one op at a time. next fills op —
@@ -411,62 +394,22 @@ func buildEngine(cfg replayConfig) (*shard.Engine, error) {
 	return shard.New(scfg)
 }
 
-// replayOnce drives one full pass of the op stream through a fresh
-// engine via workload.RunPipelinedFrom — depth 1 (Submit immediately
-// followed by Wait, i.e. exactly Apply) for the synchronous baseline,
-// cfg.inFlight tickets in flight for the pipelined run — and returns
-// the engine (flushed, still open) plus the wall-clock time. All op
-// and outcome buffers are allocated once up front, so the loop runs on
-// the engine's allocation-free dispatch path.
-func replayOnce(mkSource func() (opSource, error), cfg replayConfig, async bool) (*shard.Engine, time.Duration, error) {
-	src, err := mkSource()
-	if err != nil {
-		return nil, 0, err
-	}
-	eng, err := buildEngine(cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	depth := 1
-	if async {
-		depth = cfg.inFlight
-	}
-	start := time.Now()
-	if err := workload.RunPipelinedFrom(eng, src.next, workload.PipelineConfig{
-		Batch: cfg.batch, Depth: depth,
-	}); err != nil {
-		return nil, 0, err
-	}
-	// Deferred write-back lines are real device work; flush inside the
-	// timed region so write-back throughput is not overstated.
-	eng.Flush()
-	return eng, time.Since(start), nil
-}
-
-// runReplay replays the op stream and prints statistics and throughput.
-// With cfg.async it replays the identical stream twice — a synchronous
-// baseline and the pipelined async path — and reports both, verifying
-// that every statistic is bit-identical across submission modes.
-func runReplay(mkSource func() (opSource, error), cfg replayConfig) error {
+// runReplay drives the op stream through a fresh engine with
+// workload.Drive, flushes deferred write-back lines, and prints the
+// statistics.
+func runReplay(src opSource, cfg replayConfig) error {
 	if cfg.batch < 1 {
 		cfg.batch = 1
 	}
-	var syncStats *memctrl.Stats
-	var syncElapsed time.Duration
-	if cfg.async {
-		syncEng, elapsed, err := replayOnce(mkSource, cfg, false)
-		if err != nil {
-			return err
-		}
-		st := syncEng.Stats()
-		syncStats, syncElapsed = &st, elapsed
-		syncEng.Close()
-	}
-	eng, elapsed, err := replayOnce(mkSource, cfg, cfg.async)
+	eng, err := buildEngine(cfg)
 	if err != nil {
 		return err
 	}
 	defer eng.Close()
+	if err := workload.Drive(eng, src.next, cfg.batch); err != nil {
+		return err
+	}
+	eng.Flush()
 	st := eng.Stats()
 	// Logical (request-level) totals: cache hits are reads the decode
 	// pipeline never saw, coalesced writes are device RMWs that never
@@ -487,30 +430,7 @@ func runReplay(mkSource func() (opSource, error), cfg replayConfig) error {
 		engine += " (fault repo)"
 	}
 	fmt.Printf("engine         %s\n", engine)
-	if cfg.async {
-		fmt.Printf("submission     async, %d ticket(s) in flight, batch %d\n", cfg.inFlight, cfg.batch)
-	} else {
-		fmt.Printf("submission     sync, batch %d\n", cfg.batch)
-	}
-	fmt.Printf("elapsed        %.3fs\n", elapsed.Seconds())
-	fmt.Printf("throughput     %.0f lines/sec (%.0f writes/sec, %.0f reads/sec)\n",
-		float64(total)/elapsed.Seconds(),
-		float64(writes)/elapsed.Seconds(),
-		float64(reads)/elapsed.Seconds())
-	if syncStats != nil {
-		// The sync-vs-async split: same stream, same engine config, two
-		// submission modes. Gains need multiple cores; on one core the
-		// async path pays a small queue-handoff overhead instead.
-		fmt.Printf("sync baseline  %.0f lines/sec (%.3fs); async/sync speedup %.2fx\n",
-			float64(total)/syncElapsed.Seconds(), syncElapsed.Seconds(),
-			syncElapsed.Seconds()/elapsed.Seconds())
-		if *syncStats != st {
-			fmt.Printf("WARNING        sync and async statistics diverge (submission-order bug):\n  sync  %+v\n  async %+v\n",
-				*syncStats, st)
-		} else {
-			fmt.Printf("determinism    sync and async statistics are bit-identical\n")
-		}
-	}
+	fmt.Printf("submission     sync, batch %d\n", cfg.batch)
 	fmt.Printf("write energy   %.4g pJ (aux %.4g pJ)\n", st.EnergyPJ, st.AuxEnergyPJ)
 	fmt.Printf("bit flips      %d\n", st.BitFlips)
 	fmt.Printf("SAW cells      %d\n", st.SAWCells)

@@ -19,6 +19,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/experiments"
 )
 
 // Params configures one campaign run. Every scenario is deterministic
@@ -60,41 +62,13 @@ type Result struct {
 	Summary map[string]float64
 }
 
-// Table renders an aligned text table with title, notes and summary.
+// Table renders the rows through experiments.Result.Table under a
+// "== campaign <name>: <title> ==" heading, then the summary (sorted by
+// key) and the notes.
 func (r *Result) Table() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "== campaign %s: %s ==\n", r.Name, r.Title)
-	widths := make([]int, len(r.Header))
-	for i, h := range r.Header {
-		widths[i] = len(h)
-	}
-	for _, row := range r.Rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(r.Header)
-	for i, w := range widths {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		b.WriteString(strings.Repeat("-", w))
-	}
-	b.WriteByte('\n')
-	for _, row := range r.Rows {
-		writeRow(row)
-	}
+	table := experiments.Result{ID: "campaign " + r.Name, Title: r.Title, Header: r.Header, Rows: r.Rows}
+	b.WriteString(table.Table())
 	keys := make([]string, 0, len(r.Summary))
 	for k := range r.Summary {
 		keys = append(keys, k)

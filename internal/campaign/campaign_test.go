@@ -2,9 +2,12 @@ package campaign
 
 import (
 	"math"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/golden"
 )
 
 func TestRunUnknownName(t *testing.T) {
@@ -82,7 +85,8 @@ func tinyParams() Params {
 
 // TestScenariosTinyScale runs every registered scenario at reduced
 // horizon and checks the structural contract (well-formed table, finite
-// summary) plus each scenario's headline invariant.
+// summary), each scenario's headline invariant and, except for chaos,
+// the rendered table against its golden file.
 func TestScenariosTinyScale(t *testing.T) {
 	for _, info := range List() {
 		info := info
@@ -110,6 +114,9 @@ func TestScenariosTinyScale(t *testing.T) {
 			}
 			if out := res.Table(); !strings.Contains(out, info.Name) {
 				t.Error("Table() does not carry the scenario name")
+			}
+			if info.Name != "chaos" { // chaos traffic counters depend on timing
+				golden.Check(t, filepath.Join("testdata", info.Name+".golden"), res.Table())
 			}
 
 			switch info.Name {

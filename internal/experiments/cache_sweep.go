@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/coset"
 	"repro/internal/linecache"
@@ -13,7 +12,7 @@ import (
 
 func init() {
 	registerOpts("cache-sweep",
-		"decoded-line cache in front of the controller: hit rate, device writes, energy and throughput across cache size x policy x pattern x read fraction",
+		"decoded-line cache in front of the controller: hit rate, device writes and energy across cache size x policy x pattern x read fraction",
 		runCacheSweep)
 }
 
@@ -35,9 +34,7 @@ var cacheSweepConfigs = []struct {
 // the fig9 configuration, like workload-sweep) over locality-heavy and
 // streaming patterns at SPEC-like read fractions, for every cache
 // configuration. Each engine is Flushed before its statistics are
-// collected, so write-back rows account every deferred device RMW. All
-// statistics columns are deterministic in (mode, seed, shards); only
-// ops_per_sec is machine-dependent.
+// collected, so write-back rows account every deferred device RMW.
 func runCacheSweep(o Opts) *Result {
 	lines, totalOps := sizes(o.Mode)
 	totalOps /= 2 // two patterns x two fractions x five cache configs: keep quick mode quick
@@ -49,14 +46,13 @@ func runCacheSweep(o Opts) *Result {
 		ID:    "cache-sweep",
 		Title: fmt.Sprintf("Decoded-line cache sweep (VCC 256, Opt.Energy, %d shard(s))", shards),
 		Header: []string{"pattern", "read_frac", "cache", "policy", "device_writes",
-			"hit_rate", "coalesced", "energy_pJ", "SAW_cells", "ops_per_sec"},
+			"hit_rate", "coalesced", "energy_pJ", "SAW_cells"},
 		Notes: []string{
 			"every row replays the same op budget through Engine.Apply; cache=0 is the uncached baseline",
 			"hit_rate is reads served from decoded plaintext without decode+decrypt",
 			"device_writes counts coset RMWs actually programmed; write-back rows include the final Flush",
 			"coalesced counts writes absorbed into an already-dirty cached line (device work eliminated)",
 			"energy falls with device_writes: deferral coalesces hot-line writebacks into one RMW",
-			"ops_per_sec is wall-clock and machine-dependent; all other columns are deterministic in (mode, seed, shards)",
 		},
 	}
 	const batchSize = 256
@@ -84,10 +80,8 @@ func runCacheSweep(o Opts) *Result {
 				stream := workload.NewStream(o.Seed, phases...)
 				fillRng := prng.NewFrom(o.Seed, "cache-sweep-data:"+pat)
 				fill := func(_ uint64, data []byte) { fillRng.Fill(data) }
-				start := time.Now()
 				runSyncStream("cache-sweep", eng, stream, totalOps, batchSize, fill)
 				eng.Flush() // write-back: account every deferred RMW
-				elapsed := time.Since(start)
 				st := eng.Stats()
 				cacheCol, policyCol := "off", "-"
 				if cc.lines > 0 {
@@ -97,7 +91,6 @@ func runCacheSweep(o Opts) *Result {
 					pat, fmtF(rf), cacheCol, policyCol, fmtI(st.LineWrites),
 					fmtPct(100 * st.HitRate()), fmtI(st.CoalescedWrites),
 					fmtF(st.EnergyPJ), fmtI(st.SAWCells),
-					fmtF(float64(totalOps) / elapsed.Seconds()),
 				})
 				eng.Close()
 			}

@@ -112,13 +112,6 @@ type Opts struct {
 	CacheLines int
 	// CachePolicy selects the cache write policy for CacheLines > 0.
 	CachePolicy linecache.Policy
-	// InFlight, when positive, makes drivers that honor it
-	// (workload-sweep) issue their op stream through the asynchronous
-	// submission path with this many tickets in flight; 0 (the default)
-	// uses synchronous Apply. Statistics are identical either way —
-	// only wall-clock throughput can differ. async-sweep sweeps its own
-	// in-flight dimension and ignores this.
-	InFlight int
 }
 
 // Runner produces a Result from (mode, seed) — the signature of every

@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/golden"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -63,19 +66,13 @@ func TestRunManyMatchesRun(t *testing.T) {
 }
 
 func TestShardReplayDriver(t *testing.T) {
-	// Deterministic across repeated runs, and shard write counts must
+	// The golden table pins the 4-shard run, and shard write counts must
 	// account for every replayed record.
 	a, err := RunOpts("shard-replay", Opts{Mode: Quick, Seed: 1, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunOpts("shard-replay", Opts{Mode: Quick, Seed: 1, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Error("shard-replay result differs across repeated runs")
-	}
+	checkGolden(t, a)
 	for _, row := range a.Rows {
 		if cell(row[4]) < cell(row[5]) {
 			t.Errorf("%s: max shard writes %v below min %v", row[0], row[4], row[5])
@@ -86,53 +83,86 @@ func TestShardReplayDriver(t *testing.T) {
 	}
 }
 
-// TestAsyncSweepDriver: the async-sweep table must carry identical
-// statistics columns across submission modes within each
-// (pattern, shards) group — the driver itself panics on divergence, so
-// here we check shape plus the sync/async row structure.
-func TestAsyncSweepDriver(t *testing.T) {
-	r := runQ(t, "async-sweep")
-	if len(r.Rows) != 2*2*4 { // patterns x shards x (sync + 3 depths)
-		t.Fatalf("want 16 rows, got %d", len(r.Rows))
+// TestWorkloadSweepDriver: every row accounts for the whole op budget
+// (12 000 ops at batch 256, so the final batch is short), and energy
+// falls as reads replace writes.
+func TestWorkloadSweepDriver(t *testing.T) {
+	r, err := RunOpts("workload-sweep", Opts{Mode: Quick, Seed: 1, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
+	checkGolden(t, r)
+	if len(r.Rows) != 5*4 { // patterns x read fractions
+		t.Fatalf("want 20 rows, got %d", len(r.Rows))
+	}
+	_, totalOps := sizes(Quick)
 	for i, row := range r.Rows {
-		sync := i%4 == 0
-		if sync && (row[2] != "sync" || row[3] != "-") {
-			t.Errorf("row %d: want sync/- submission cells, got %v/%v", i, row[2], row[3])
+		if ops := cell(row[2]) + cell(row[3]); ops != float64(totalOps) {
+			t.Errorf("row %d (%s rf=%s): %v writes+reads, want %d", i, row[0], row[1], ops, totalOps)
 		}
-		if !sync && row[2] != "async" {
-			t.Errorf("row %d: want async submission, got %v", i, row[2])
-		}
-		if cell(row[4]) <= 0 || cell(row[5]) <= 0 {
-			t.Errorf("row %d: no traffic replayed: %v", i, row)
+		if i%4 > 0 && cell(row[4]) >= cell(r.Rows[i-1][4]) {
+			t.Errorf("row %d (%s rf=%s): energy %s not below the previous read fraction's %s",
+				i, row[0], row[1], row[4], r.Rows[i-1][4])
 		}
 	}
 }
 
-// TestWorkloadSweepInFlightInvariant: driving workload-sweep through
-// the pipelined async path must reproduce the synchronous statistics
-// bit for bit (only the machine-dependent ops_per_sec column may move).
-func TestWorkloadSweepInFlightInvariant(t *testing.T) {
-	syncRes, err := RunOpts("workload-sweep", Opts{Mode: Quick, Seed: 1, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
+// TestCacheSweepDriver: write-through leaves device writes at the
+// uncached baseline, write-back never adds device writes, and streaming
+// rows never hit.
+func TestCacheSweepDriver(t *testing.T) {
+	r := runQ(t, "cache-sweep")
+	n := len(cacheSweepConfigs)
+	if len(r.Rows) != 2*2*n { // patterns x read fractions x cache configs
+		t.Fatalf("want %d rows, got %d", 4*n, len(r.Rows))
 	}
-	asyncRes, err := RunOpts("workload-sweep", Opts{Mode: Quick, Seed: 1, Shards: 2, InFlight: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(syncRes.Rows) != len(asyncRes.Rows) {
-		t.Fatalf("row counts diverge: %d vs %d", len(syncRes.Rows), len(asyncRes.Rows))
-	}
-	for i := range syncRes.Rows {
-		a, b := syncRes.Rows[i], asyncRes.Rows[i]
-		for c := 0; c < len(a)-1; c++ { // last column is wall-clock
-			if a[c] != b[c] {
-				t.Errorf("row %d col %d (%s): sync %v, async %v",
-					i, c, syncRes.Header[c], a[c], b[c])
+	for i, row := range r.Rows {
+		base := r.Rows[i-i%n]
+		switch row[3] {
+		case "writethrough":
+			if row[4] != base[4] {
+				t.Errorf("row %d: write-through device writes %s, uncached %s", i, row[4], base[4])
+			}
+		case "writeback":
+			if cell(row[4]) > cell(base[4]) {
+				t.Errorf("row %d: write-back device writes %s above uncached %s", i, row[4], base[4])
 			}
 		}
+		if row[0] == "seq" && cell(row[5]) != 0 {
+			t.Errorf("row %d: streaming pattern hit rate %s, want 0", i, row[5])
+		}
 	}
+}
+
+// TestGoldensCoverRegistry: every registered experiment has a golden
+// table under testdata/, and every golden table names one.
+func TestGoldensCoverRegistry(t *testing.T) {
+	if golden.Updating() {
+		t.Skip("-update rewrites the goldens; coverage is checked on a plain run")
+	}
+	files, err := filepath.Glob(filepath.Join("testdata", "*.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := map[string]bool{}
+	for _, f := range files {
+		stale[strings.TrimSuffix(filepath.Base(f), ".golden")] = true
+	}
+	for _, id := range IDs() {
+		if !stale[id] {
+			t.Errorf("experiment %q has no golden table", id)
+		}
+		delete(stale, id)
+	}
+	for id := range stale {
+		t.Errorf("golden table %q names no registered experiment", id)
+	}
+}
+
+// checkGolden pins the rendered table of a quick-mode, seed-1 run.
+func checkGolden(t *testing.T, r *Result) {
+	t.Helper()
+	golden.Check(t, filepath.Join("testdata", r.ID+".golden"), r.Table())
 }
 
 // cell parses a numeric table cell (strips % suffix).
@@ -165,6 +195,7 @@ func runQ(t *testing.T, id string) *Result {
 	if !strings.Contains(r.CSV(), r.Header[0]) {
 		t.Fatalf("%s: CSV() missing header", id)
 	}
+	checkGolden(t, r)
 	return r
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/coset"
 	"repro/internal/prng"
@@ -12,7 +11,7 @@ import (
 
 func init() {
 	registerOpts("workload-sweep",
-		"mixed read/write op streams: energy/SAW/throughput across access patterns and read fractions",
+		"mixed read/write op streams: energy and SAW across access patterns and read fractions",
 		runWorkloadSweep)
 }
 
@@ -43,40 +42,30 @@ func sweepPattern(name string, lines int, seed uint64) []workload.Phase {
 }
 
 // runSyncStream replays totalOps accesses from the stream through the
-// engine with synchronous batched Apply and reused buffers — the
-// non-pipelined baseline loop shared by the workload-sweep, cache-sweep
-// and async-sweep drivers. id labels the panic on engine errors.
+// engine with workload.Drive — the loop shared by the workload-sweep and
+// cache-sweep drivers. id labels the panic on engine errors.
 func runSyncStream(id string, eng *shard.Engine, stream *workload.Stream,
 	totalOps, batchSize int, fill func(uint64, []byte)) {
-	ops := make([]shard.Op, batchSize)
-	bufs := make([]byte, batchSize*shard.LineSize)
-	var outs []shard.Outcome
-	for done := 0; done < totalOps; {
-		n := batchSize
-		if totalOps-done < n {
-			n = totalOps - done
+	left := totalOps
+	next := func(op *shard.Op) bool {
+		if left == 0 {
+			return false
 		}
-		for i := 0; i < n; i++ {
-			ops[i].Data = bufs[i*shard.LineSize : (i+1)*shard.LineSize]
-			stream.FillOp(&ops[i], fill)
-		}
-		var err error
-		if outs, err = eng.Apply(ops[:n], outs); err != nil {
-			panic(fmt.Sprintf("%s: %v", id, err))
-		}
-		done += n
+		left--
+		stream.FillOp(op, fill)
+		return true
+	}
+	if err := workload.Drive(eng, next, batchSize); err != nil {
+		panic(fmt.Sprintf("%s: %v", id, err))
 	}
 }
 
 // runWorkloadSweep drives the sharded engine's mixed op path
 // (Engine.Apply) with every workload pattern at read fractions 0-0.75
 // (VCC 256, Opt.Energy, AES-CTR, 1e-2 faults — the fig9 configuration)
-// and reports per-cell energy/SAW totals alongside wall-clock
-// throughput. With Opts.CacheLines > 0 every engine runs behind the
-// decoded-line cache and the cache columns light up (the uncached
-// default reports them as zero/0.0%). All statistics columns are
-// deterministic in (mode, seed, shards, cache); only the ops/sec
-// column is machine-dependent.
+// and reports per-cell energy/SAW totals. With Opts.CacheLines > 0
+// every engine runs behind the decoded-line cache and the cache columns
+// light up (the uncached default reports them as zero/0.0%).
 func runWorkloadSweep(o Opts) *Result {
 	lines, totalOps := sizes(o.Mode)
 	shards := o.Shards
@@ -87,21 +76,16 @@ func runWorkloadSweep(o Opts) *Result {
 	if o.CacheLines > 0 {
 		cacheDesc = fmt.Sprintf(", %d-line %s cache/shard", o.CacheLines, o.CachePolicy)
 	}
-	if o.InFlight > 0 {
-		cacheDesc += fmt.Sprintf(", async x%d in flight", o.InFlight)
-	}
 	title := fmt.Sprintf("Mixed op-stream sweep (VCC 256, Opt.Energy, %d shard(s)%s)", shards, cacheDesc)
 	res := &Result{
 		ID:    "workload-sweep",
 		Title: title,
 		Header: []string{"pattern", "read_frac", "writes", "reads",
-			"energy_pJ", "pJ_per_write", "SAW_cells", "hit_rate", "coalesced", "ops_per_sec"},
+			"energy_pJ", "pJ_per_write", "SAW_cells", "hit_rate", "coalesced"},
 		Notes: []string{
 			"every row replays the same op budget through Engine.Apply in mixed batches",
 			"energy scales with the write fraction: reads decode without programming cells",
 			"hit_rate/coalesced surface the decoded-line cache counters; they are zero at the uncached default (vccrepro -cachelines enables the cache; cache-sweep sweeps the cache dimension itself)",
-			"with Opts.InFlight > 0 (vccrepro -inflight) the stream goes through the pipelined async Submit path; statistics are identical, only ops_per_sec can move (async-sweep sweeps the in-flight dimension itself)",
-			"ops_per_sec is wall-clock and machine-dependent; all other columns are deterministic in (mode, seed, shards, cache)",
 			"the phased pattern alternates 512-op streaming and pointer-chase phases (phase mixing)",
 		},
 	}
@@ -129,20 +113,8 @@ func runWorkloadSweep(o Opts) *Result {
 			stream := workload.NewStream(o.Seed, phases...)
 			fillRng := prng.NewFrom(o.Seed, "sweep-data:"+pat)
 			fill := func(_ uint64, data []byte) { fillRng.Fill(data) }
-			start := time.Now()
-			if o.InFlight > 0 {
-				// Same op sequence through the pipelined async path:
-				// statistics are unchanged, only wall clock can move.
-				if err := workload.RunPipelined(eng, stream, totalOps, workload.PipelineConfig{
-					Batch: batchSize, Depth: o.InFlight, Fill: fill,
-				}); err != nil {
-					panic(fmt.Sprintf("workload-sweep: %v", err))
-				}
-			} else {
-				runSyncStream("workload-sweep", eng, stream, totalOps, batchSize, fill)
-			}
+			runSyncStream("workload-sweep", eng, stream, totalOps, batchSize, fill)
 			eng.Flush() // write-back caches: account deferred RMWs in this row
-			elapsed := time.Since(start)
 			st := eng.Stats()
 			perWrite := 0.0
 			if st.LineWrites > 0 {
@@ -152,7 +124,6 @@ func runWorkloadSweep(o Opts) *Result {
 				pat, fmtF(rf), fmtI(st.LineWrites), fmtI(st.LineReads),
 				fmtF(st.EnergyPJ), fmtF(perWrite), fmtI(st.SAWCells),
 				fmtPct(100 * st.HitRate()), fmtI(st.CoalescedWrites),
-				fmtF(float64(totalOps) / elapsed.Seconds()),
 			})
 			eng.Close()
 		}

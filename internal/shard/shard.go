@@ -104,10 +104,9 @@ type BackendConfig struct {
 	Key [32]byte
 	// FaultRate pre-generates a stuck-at fault map at this per-cell rate.
 	FaultRate float64
-	// EnduranceWrites enables wear tracking with this mean cell lifetime.
+	// EnduranceWrites enables wear tracking with this mean cell lifetime,
+	// drawn per cell with the paper's coefficient of variation 0.2.
 	EnduranceWrites float64
-	// EnduranceCoV is the lifetime coefficient of variation (default 0.2).
-	EnduranceCoV float64
 	// Seed drives all stochastic initialization of this shard.
 	Seed uint64
 	// CacheLines, when positive, fronts the controller with a
@@ -128,11 +127,9 @@ type BackendConfig struct {
 	// runtime fault repository (internal/faultrepo): the controller only
 	// knows about stuck cells previously observed by verify-after-write,
 	// and feeds every write's outcome back in. The repository also
-	// informs spare selection when RemapSpares > 0.
+	// informs spare selection when RemapSpares > 0. The repository
+	// caches the descriptors of 256 words.
 	UseFaultRepo bool
-	// FaultRepoCache sizes the repository's descriptor cache in words
-	// when UseFaultRepo is set; 0 defaults to 256.
-	FaultRepoCache int
 	// Chaos, when non-nil, installs a deterministic fault-injecting
 	// decorator (internal/chaos) at the top of this shard's stack,
 	// seeded from the shard seed. A spec with all rates zero still
@@ -229,12 +226,8 @@ func NewBackend(cfg BackendConfig) (*Backend, error) {
 	}
 	var wear *pcm.Wear
 	if cfg.EnduranceWrites > 0 {
-		cov := cfg.EnduranceCoV
-		if cov == 0 {
-			cov = 0.2
-		}
 		wear = pcm.NewWear(words*mode.CellsPerWord(),
-			pcm.WearParams{MeanWrites: cfg.EnduranceWrites, CoV: cov},
+			pcm.WearParams{MeanWrites: cfg.EnduranceWrites, CoV: 0.2},
 			prng.NewFrom(cfg.Seed, "vcc-endurance"))
 	}
 	dev := pcm.NewDevice(pcm.Config{
@@ -253,11 +246,7 @@ func NewBackend(cfg BackendConfig) (*Backend, error) {
 	}
 	var repo *faultrepo.Repo
 	if cfg.UseFaultRepo {
-		cacheWords := cfg.FaultRepoCache
-		if cacheWords == 0 {
-			cacheWords = 256
-		}
-		repo = faultrepo.New(mode, cacheWords)
+		repo = faultrepo.New(mode, 256)
 		mcfg.FaultRepo = repo
 	}
 	ctrl, err := memctrl.New(mcfg)
@@ -394,7 +383,6 @@ type Config struct {
 	Key               [32]byte
 	FaultRate         float64
 	EnduranceWrites   float64
-	EnduranceCoV      float64
 	// Seed is the master seed. With one shard it is used directly; with
 	// more, each shard derives a decorrelated child seed from it.
 	Seed uint64
@@ -412,9 +400,6 @@ type Config struct {
 	// UseFaultRepo gives every shard a runtime fault repository in place
 	// of the oracle fault view (see BackendConfig.UseFaultRepo).
 	UseFaultRepo bool
-	// FaultRepoCache sizes each shard's repository descriptor cache in
-	// words; 0 defaults to 256.
-	FaultRepoCache int
 	// Chaos, when non-nil, installs the fault-injecting decorator at
 	// the top of every shard's stack (see BackendConfig.Chaos). Each
 	// shard's injection schedule derives from its own shard seed, so
@@ -504,13 +489,11 @@ func New(cfg Config) (*Engine, error) {
 			Key:               shardKey(cfg.Key, cfg.Seed, i, shards),
 			FaultRate:         cfg.FaultRate,
 			EnduranceWrites:   cfg.EnduranceWrites,
-			EnduranceCoV:      cfg.EnduranceCoV,
 			Seed:              ShardSeed(cfg.Seed, i, shards),
 			CacheLines:        cfg.CacheLines,
 			CachePolicy:       cfg.CachePolicy,
 			RemapSpares:       cfg.RemapSpares,
 			UseFaultRepo:      cfg.UseFaultRepo,
-			FaultRepoCache:    cfg.FaultRepoCache,
 			Chaos:             cfg.Chaos,
 			OpRetries:         cfg.OpRetries,
 		})

@@ -99,11 +99,9 @@ type ShardedMemoryConfig struct {
 	// disables.
 	FaultRate float64
 	// EnduranceWrites enables wear tracking with this mean cell lifetime
-	// in energy-weighted wear units (see pcm.Wear). 0 disables.
+	// in energy-weighted wear units (see pcm.Wear), drawn per cell with
+	// the paper's coefficient of variation 0.2. 0 disables.
 	EnduranceWrites float64
-	// EnduranceCoV is the lifetime coefficient of variation (default
-	// 0.2, the paper's value) when wear tracking is on.
-	EnduranceCoV float64
 	// Seed is the master seed; shards derive decorrelated child seeds
 	// from it (the single-shard configuration uses it directly).
 	Seed uint64
@@ -128,11 +126,9 @@ type ShardedMemoryConfig struct {
 	// with a runtime fault repository per shard: only cells previously
 	// caught by verify-after-write are masked, and every write's verify
 	// outcome feeds the repository. It also informs spare selection when
-	// RemapSpares > 0.
+	// RemapSpares > 0. Each repository caches the descriptors of 256
+	// words.
 	UseFaultRepo bool
-	// FaultRepoCache sizes each shard's repository descriptor cache in
-	// words when UseFaultRepo is set; 0 defaults to 256.
-	FaultRepoCache int
 	// Chaos, when non-nil, installs a deterministic fault-injecting
 	// decorator at the top of every shard's pipeline: transient
 	// read/write errors, torn writes, corrupted reads and latency
@@ -181,13 +177,11 @@ func NewShardedMemory(cfg ShardedMemoryConfig) (*ShardedMemory, error) {
 		Key:               cfg.Key,
 		FaultRate:         cfg.FaultRate,
 		EnduranceWrites:   cfg.EnduranceWrites,
-		EnduranceCoV:      cfg.EnduranceCoV,
 		Seed:              cfg.Seed,
 		CacheLines:        cfg.CacheLines,
 		CachePolicy:       cfg.CachePolicy,
 		RemapSpares:       cfg.RemapSpares,
 		UseFaultRepo:      cfg.UseFaultRepo,
-		FaultRepoCache:    cfg.FaultRepoCache,
 		Chaos:             cfg.Chaos,
 		OpRetries:         cfg.OpRetries,
 	})

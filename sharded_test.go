@@ -38,13 +38,11 @@ func refBackend(t *testing.T, cfg ShardedMemoryConfig) *shard.Backend {
 		Key:               cfg.Key,
 		FaultRate:         cfg.FaultRate,
 		EnduranceWrites:   cfg.EnduranceWrites,
-		EnduranceCoV:      cfg.EnduranceCoV,
 		Seed:              cfg.Seed,
 		CacheLines:        cfg.CacheLines,
 		CachePolicy:       cfg.CachePolicy,
 		RemapSpares:       cfg.RemapSpares,
 		UseFaultRepo:      cfg.UseFaultRepo,
-		FaultRepoCache:    cfg.FaultRepoCache,
 		Chaos:             cfg.Chaos,
 		OpRetries:         cfg.OpRetries,
 	})
