@@ -85,6 +85,9 @@ func BenchmarkEncode(b *testing.B) {
 	}
 	cases := []codecCase{
 		{"VCC-Stored(64,256,16)", NewVCCStored(64, 16, 256, 1), 64, false, true},
+		// r=64: past the table threshold, so energy+SAW takes the table
+		// scan here and the lane scan at r=16 above.
+		{"VCC-Stored(64,1024,64)", NewVCCStored(64, 16, 1024, 1), 64, false, true},
 		{"VCC-Gen(16,256)", NewVCCGenerated(16, 256), 32, true, false},
 		{"RCC(64,256)", NewRCC(64, 256, 1), 64, false, true},
 		{"FNW(64,16)", NewFNW(64, 16), 64, false, true},

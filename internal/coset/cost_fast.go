@@ -38,28 +38,16 @@ const maxSlices = 64
 const maxNibGroups = 64
 
 // nibTableMinPrices is the amortization threshold of BindFor: nibble
-// tables are built only when the codec expects at least this many
-// PartCost prices per partition per 16-entry group. One group costs 16
-// table-entry constructions via the generic assembly; below ~16 prices
-// per group the per-symbol direct path is cheaper than building tables
-// it will barely consult (measured on the BenchmarkEncode matrix:
-// VCC-Gen(16,256) prices 128x per partition and wins big, FNW prices 2x
-// and would pay ~30x its query cost in construction).
+// tables are built only under ObjEnergySAW, and only when the codec
+// expects at least this many PartCost prices per partition per 16-entry
+// group. Every other objective, and energy+SAW below the threshold, is
+// priced by the table-free lane scan (lanes.go), which measures faster
+// there: the tables pay for themselves only when the lazy scan's prune
+// after the first partition skips most kernels' remaining work, which
+// takes a large kernel set. For VCC (hint 2r) at m=16 the line falls at
+// r = 32: VCC-Gen(16,256) (r=64) keeps its tables, the engine's stored
+// r=16 ROM does not, and FNW (2 prices) never builds them.
 const nibTableMinPrices = 16
-
-// nibTableMinPricesEnergySAW is the lower threshold applied under
-// ObjEnergySAW, where two effects shift the break-even: every full
-// group — MLC-plane, full-word MLC and SLC alike — is assembled by the
-// packed doubling DP (a handful of SWAR mask derivations plus ~14
-// packed adds) instead of 16 independent count evaluations, and the
-// bound tables feed the lazy branchless kernel scan whose queries are
-// four loads against a direct path of two energy MACs plus a SAW count.
-// Stored-kernel VCC (r=16: 32 prices per partition, 8 per group) sits
-// exactly at this line and measures ~2.3x faster with tables; FNW
-// (2 prices) still stays direct. Other objectives price through the
-// generic Pair walk, whose cheaper direct path keeps the old
-// break-even.
-const nibTableMinPricesEnergySAW = 8
 
 // SlicedCtx is a write context pre-sliced into partitions. A memory
 // controller owns one and rebinds it per word (Bind allocates nothing),
@@ -78,11 +66,13 @@ type SlicedCtx struct {
 	oldAux   uint64
 
 	// DisableTables forces every PartCost onto the direct per-symbol
-	// pricing path: BindFor never builds nibble tables. ForceTables
-	// builds them on every successful bind regardless of the
-	// amortization threshold. Both exist so the equivalence suite can
-	// cross-check table-driven against direct pricing; production
-	// callers leave them false and let BindFor's threshold decide.
+	// pricing path: BindFor never builds nibble tables, so VCC encodes
+	// take the lane scan. ForceTables builds them on every successful
+	// energy+SAW bind regardless of the amortization threshold, so VCC
+	// encodes take the table scan. Both exist so the equivalence suite can
+	// cross-check both scans and both pricing paths on the same contexts;
+	// production callers leave them false and let BindFor's threshold
+	// decide.
 	DisableTables bool
 	ForceTables   bool
 
@@ -94,6 +84,12 @@ type SlicedCtx struct {
 	stuckMask  [maxSlices]uint64
 	stuckVal   [maxSlices]uint64
 	leftSpread [maxSlices]uint64
+
+	// The same context unsliced, for the lane scan: the old word, the
+	// stuck mask, the stuck values under it and, on the MLC plane, the
+	// spread-odd left digits, all restricted to the plane's bits in word
+	// coordinates (wordMask).
+	wOld, wStuckMask, wStuckVal, wLeft uint64
 
 	// auxTab[old][val] is the cost of writing an auxiliary bit with
 	// value val over stored value old — the whole Evaluator.AuxBit
@@ -112,24 +108,40 @@ type SlicedCtx struct {
 	// fused walk therefore accumulates both orientations of a candidate
 	// pair — exactly how VCC consumes candidates. Field sums across a
 	// partition's <=16 groups stay below 256, so neither half of a
-	// packed uint64 accumulator ever carries between fields. cHi/cLo
-	// cache the matching energy coefficients. The array is owned by the
-	// SlicedCtx and overwritten in place on every rebind — table
-	// storage never allocates.
+	// packed uint64 accumulator ever carries between fields. The array
+	// is owned by the SlicedCtx and overwritten in place on every rebind
+	// — table storage never allocates.
 	tabOK       bool
 	groups      int
 	lastNibMask uint64
-	cHi, cLo    float64
 	nibTab      [maxNibGroups * 16]uint64
+
+	// Lane-scan geometry, fixed by BindLine (see lanes.go). lane is the
+	// width L of one partition in word coordinates (m, or 2m on the MLC
+	// plane), or 0 when the lane scan cannot price the geometry.
+	// laneOne has bit 0 of each of the p lanes set and pop counts bits
+	// per lane. A cell's change flag is (x | x>>cellShift) & cellMask:
+	// every bit on SLC, a symbol's right-digit bit with its left digit
+	// folded in on MLC. flipMask is the set of bits a complemented
+	// candidate flips (the plane's bits, or their right digits on the MLC
+	// plane) and wordMask the plane's bits in word coordinates.
+	lane      uint
+	laneOne   uint64
+	pop       lanePop
+	cellMask  uint64
+	cellShift uint
+	flipMask  uint64
+	wordMask  uint64
 
 	// Line-scoped bind state. lineKey fingerprints every input of the
 	// word-invariant bind layer (geometry validation, the 2x2 aux-bit
-	// cost table, group layout, the table-amortization decision); when
-	// a rebind arrives with an identical fingerprint — the 8 words of a
-	// cache line, or every word of a steady single-codec workload —
-	// BindFor skips that whole layer and only re-slices the new word.
-	// fastRebinds counts the skips (observable by tests; one increment
-	// per word is noise next to the work it replaces).
+	// cost table, group and lane layout, the energy table, the
+	// table-amortization decision); when a rebind arrives with an
+	// identical fingerprint — the 8 words of a cache line, or every word
+	// of a steady single-codec workload — BindFor skips that whole layer
+	// and only re-slices the new word. fastRebinds counts the skips
+	// (observable by tests; one increment per word is noise next to the
+	// work it replaces).
 	lineOK      bool
 	lineKey     bindKey
 	wantTab     bool
@@ -137,16 +149,21 @@ type SlicedCtx struct {
 
 	// etab memoizes the energy multiply-accumulate over count pairs:
 	// etab[lo<<6|hi] = float64(hi)*cHi + float64(lo)*cLo, the exact
-	// pairFromCounts expression, so the hot encode loop converts packed
-	// counts to energy with one load instead of two int-to-float
-	// conversions and two multiplies. Fields are 6 bits, so the table
-	// serves any bound partition of at most 63 cells (etabFits); it
-	// depends only on the coefficients, not the write context, and is
-	// rebuilt only when the energy model changes (etabOK caches
-	// validity across rebinds — in steady state construction costs two
-	// float compares per bind).
+	// pairFromCounts expression, so both encode scans convert counts to
+	// energy with one load instead of two int-to-float conversions and
+	// two multiplies. Fields are 6 bits, so the table serves any
+	// partition of at most 63 cells (etabFits). cHi/cLo are the
+	// coefficients it holds, the bound mode's (MLC high/low, or SLC
+	// SET/RESET) under either energy objective: BindLine rebuilds it
+	// only when they change (in steady state the check is two float
+	// compares per line bind). nonneg reports that both are +0 or
+	// positive and finite, so every candidate energy is too and orders
+	// like its IEEE bit pattern, which the scans' branch-free selects
+	// rely on.
 	etabOK   bool
 	etabFits bool
+	nonneg   bool
+	cHi, cLo float64
 	etab     [64 * 64]float64
 }
 
@@ -178,11 +195,11 @@ type bindKey struct {
 
 // BindFor is Bind with an amortization hint: pricesPerPartition is the
 // number of PartCost queries the codec expects to issue against each
-// partition before the next rebind. When the hint clears the per-group
-// construction threshold (or ForceTables is set), BindFor additionally
-// builds the per-partition nibble count tables so each query collapses
-// into ceil(m/4) table lookups; below it, queries run the direct
-// per-symbol path and construction costs nothing.
+// partition before the next rebind. Under energy+SAW, when the hint
+// clears the per-group construction threshold (or ForceTables is set),
+// BindFor additionally builds the per-partition nibble count tables so
+// each query collapses into ceil(m/4) table lookups; otherwise queries
+// run the direct per-symbol path and construction costs nothing.
 //
 // BindFor is line-scoped: when the configuration fingerprint matches
 // the previous bind — the common case for the 8 words of a cache line,
@@ -220,6 +237,12 @@ func (sc *SlicedCtx) BindFor(ev *Evaluator, m, pricesPerPartition int) bool {
 		bitutil.SubBlocksInto(sc.stuckMask[:p], c.StuckMask, m)
 		bitutil.SubBlocksInto(sc.stuckVal[:p], c.StuckVal, m)
 	}
+	sc.wOld = c.OldWord & sc.wordMask
+	sc.wStuckMask = c.StuckMask & sc.wordMask
+	sc.wStuckVal = c.StuckVal & sc.wStuckMask
+	if sc.mlcPlane {
+		sc.wLeft = bitutil.SpreadOdd(c.NewLeft) & sc.wordMask
+	}
 	sc.tabOK = false
 	if sc.wantTab {
 		sc.buildNibbleTables()
@@ -229,13 +252,14 @@ func (sc *SlicedCtx) BindFor(ev *Evaluator, m, pricesPerPartition int) bool {
 
 // BindLine performs the word-invariant layer of a bind: geometry
 // validation, the 2x2 aux-bit cost table (aux-bit cost depends only on
-// mode/energy/objective, never on the word), nibble-group layout, and
-// the table-amortization decision. It reports whether the sliced fast
-// path supports this configuration, and on success records the
-// fingerprint so subsequent same-configuration BindFor calls skip
-// straight to word slicing. A memory controller may call it once per
-// line; BindFor calls it automatically on any fingerprint miss, so the
-// explicit call is an optimization, never a correctness requirement.
+// mode/energy/objective, never on the word), nibble-group and lane
+// layout, the energy table, and the table-amortization decision. It
+// reports whether the sliced fast path supports this configuration, and
+// on success records the fingerprint so subsequent same-configuration
+// BindFor calls skip straight to word slicing. A memory controller may
+// call it once per line; BindFor calls it automatically on any
+// fingerprint miss, so the explicit call is an optimization, never a
+// correctness requirement.
 func (sc *SlicedCtx) BindLine(ev *Evaluator, m, pricesPerPartition int) bool {
 	if ev.planeMask == 0 {
 		ev.Reset(ev.Ctx, ev.Obj)
@@ -266,12 +290,26 @@ func (sc *SlicedCtx) BindLine(ev *Evaluator, m, pricesPerPartition int) bool {
 	}
 	sc.groups = bitutil.NibbleGroups(m)
 	sc.lastNibMask = bitutil.Mask(m - 4*(sc.groups-1))
-	minPrices := nibTableMinPrices
-	if sc.obj == ObjEnergySAW {
-		minPrices = nibTableMinPricesEnergySAW
+	sc.wantTab = sc.obj == ObjEnergySAW && !sc.DisableTables &&
+		(sc.ForceTables || pricesPerPartition >= nibTableMinPrices*sc.groups)
+	sc.bindLanes()
+	cHi, cLo := sc.energy.MLCHighPJ, sc.energy.MLCLowPJ
+	if sc.mode != pcm.MLC {
+		cHi, cLo = sc.energy.SLCSetPJ, sc.energy.SLCResetPJ
 	}
-	sc.wantTab = sc.obj != ObjOnes && !sc.DisableTables &&
-		(sc.ForceTables || pricesPerPartition >= minPrices*sc.groups)
+	if (sc.obj == ObjEnergySAW || sc.obj == ObjSAWEnergy) &&
+		(!sc.etabOK || cHi != sc.cHi || cLo != sc.cLo) {
+		// Layout matches the count extraction of both scans: high-drive
+		// count in the low 6 bits, low-drive above.
+		for lo := 0; lo < 64; lo++ {
+			for hi := 0; hi < 64; hi++ {
+				sc.etab[lo<<6|hi] = float64(hi)*cHi + float64(lo)*cLo
+			}
+		}
+		sc.cHi, sc.cLo, sc.etabOK = cHi, cLo, true
+	}
+	const posInf = 0x7FF0000000000000 // IEEE bits of +Inf
+	sc.nonneg = math.Float64bits(sc.cHi) < posInf && math.Float64bits(sc.cLo) < posInf
 	sc.lineKey = bindKey{c.N, m, ev.Obj, c.Mode, c.MLCPlane, c.Energy,
 		sc.ForceTables, sc.DisableTables, pricesPerPartition}
 	sc.lineOK = true
@@ -284,27 +322,6 @@ func (sc *SlicedCtx) BindLine(ev *Evaluator, m, pricesPerPartition int) bool {
 // to the group's sub-byte of the bound slices, so the counts are exact
 // integers by construction, not an approximation of the direct path.
 func (sc *SlicedCtx) buildNibbleTables() {
-	cHi, cLo := sc.energy.MLCHighPJ, sc.energy.MLCLowPJ
-	cells := sc.m
-	if sc.mode == pcm.MLC {
-		if !sc.mlcPlane {
-			cells = sc.m / 2
-		}
-	} else {
-		cHi, cLo = sc.energy.SLCSetPJ, sc.energy.SLCResetPJ
-	}
-	sc.etabFits = cells < 64
-	if !sc.etabOK || cHi != sc.cHi || cLo != sc.cLo {
-		sc.cHi, sc.cLo = cHi, cLo
-		// Layout matches the packed-count extraction in the encode hot
-		// loop: high-drive count in the low 6 bits, low-drive above.
-		for lo := 0; lo < 64; lo++ {
-			for hi := 0; hi < 64; hi++ {
-				sc.etab[lo<<6|hi] = float64(hi)*cHi + float64(lo)*cLo
-			}
-		}
-		sc.etabOK = true
-	}
 	var cnt [16]uint32
 	t := 0
 	for j := 0; j < sc.p; j++ {
@@ -518,24 +535,16 @@ func (sc *SlicedCtx) buildNibbleTables() {
 	sc.tabOK = true
 }
 
-// pairFromCounts folds a packed count accumulator into the bound
-// objective's Pair. The energy multiply-accumulate mirrors the canonical
-// pcm.*EnergyFromCounts expression term for term (cHi/cLo are the bound
-// mode's coefficients) — identical counts therefore yield float64
-// results bit-identical to the direct path's.
+// pairFromCounts folds a packed count accumulator into an energy+SAW
+// Pair (tables are built for no other objective). The energy
+// multiply-accumulate mirrors the canonical pcm.*EnergyFromCounts
+// expression term for term (cHi/cLo are the bound mode's coefficients)
+// — identical counts therefore yield float64 results bit-identical to
+// the direct path's.
 func (sc *SlicedCtx) pairFromCounts(acc uint32) Pair {
 	hi := int(acc & 0xFF)
 	lo := int(acc >> 8 & 0xFF)
-	switch sc.obj {
-	case ObjFlips:
-		return Pair{float64(hi + lo), 0}
-	case ObjEnergySAW:
-		return Pair{float64(hi)*sc.cHi + float64(lo)*sc.cLo, float64(acc >> 16)}
-	case ObjSAWEnergy:
-		return Pair{float64(acc >> 16), float64(hi)*sc.cHi + float64(lo)*sc.cLo}
-	default:
-		panic("coset: unknown objective")
-	}
+	return Pair{float64(hi)*sc.cHi + float64(lo)*sc.cLo, float64(acc >> 16)}
 }
 
 // Partitions returns the partition count of the bound context.
@@ -575,7 +584,7 @@ func (sc *SlicedCtx) PartCost(j int, v uint64) Pair {
 // partner in the high half), which is exactly how VCC consumes
 // candidate pairs. Results are bit-identical to two PartCost calls.
 func (sc *SlicedCtx) PartCostPair(j int, v uint64) (Pair, Pair) {
-	if sc.tabOK && sc.obj != ObjOnes {
+	if sc.tabOK {
 		row := sc.nibTab[j*sc.groups*16:]
 		var acc uint64
 		for g := 0; g < sc.groups; g++ {
@@ -612,26 +621,6 @@ func (sc *SlicedCtx) partCostDirect(j int, v uint64) Pair {
 	default:
 		panic("coset: unknown objective")
 	}
-}
-
-// sliceFlips counts partition j's flips for the unshifted m-bit value v
-// as a raw integer: the count partCostDirect wraps in a float Pair,
-// exposed undecorated for the integer flips specialization. It equals
-// Evaluator.Part(v<<(j*m), j, m).Primary exactly (the float is the
-// int's exact image).
-func (sc *SlicedCtx) sliceFlips(j int, v uint64) int {
-	var desired uint64
-	if sc.mlcPlane {
-		desired = sc.leftSpread[j] | bitutil.SpreadEven(v)
-	} else {
-		desired = v
-	}
-	sm := sc.stuckMask[j]
-	stored := (desired &^ sm) | (sc.stuckVal[j] & sm)
-	if sc.mode == pcm.MLC {
-		return bitutil.SymbolCount(sc.old[j], stored)
-	}
-	return bits.OnesCount64(sc.old[j] ^ stored)
 }
 
 func (sc *SlicedCtx) sliceEnergy(j int, stored uint64) float64 {
@@ -685,86 +674,37 @@ func auxBitCost(mode pcm.CellMode, en pcm.EnergyModel, obj Objective, old, val u
 	}
 }
 
-// pairFloor is a component-wise minimum: the result is lexicographically
-// <= both inputs, which is what makes it a sound branch-and-bound lower
-// bound (a lexicographic minimum alone would not bound the Secondary
-// component of a sum).
-func pairFloor(a, b Pair) Pair {
-	if b.Primary < a.Primary {
-		a.Primary = b.Primary
-	}
-	if b.Secondary < a.Secondary {
-		a.Secondary = b.Secondary
-	}
-	return a
-}
-
-// pairInf is the identity element of pairFloor.
-var pairInf = Pair{math.Inf(1), math.Inf(1)}
-
-// cannotBeat reports whether a search branch whose component-wise cost
-// lower bound is lb is provably unable to improve on the incumbent under
-// obj, so the branch may be pruned without changing the search result.
+// pruneThreshold is the table scan's energy cut: a kernel whose partial
+// energy plus a lower bound on its remaining cost exceeds
+// pruneThreshold(incumbent) provably cannot displace the incumbent, so
+// the scan abandons it without changing the selected coset.
 //
 // Soundness has to account for the reference search's own float
-// behavior, not just exact arithmetic. Cost components come in two
-// kinds. Cell/SAW counts are small integers whose float sums are exact,
-// so comparing them is exact: a bound strictly worse loses for certain,
-// and a bound exactly equal cannot displace the incumbent either (the
-// search requires strict improvement), making >= prunable. Energy sums
-// are inexact — two candidates with equal exact cost can differ by ULPs
-// depending on which terms were summed — and the reference breaks such
-// ties by exactly that noise (FuzzEncodeEquivalence found the case: two
-// kernels at exact cost 555.9 summed to 555.9 and 555.9000000000001,
-// and the reference's strict < picked the former). A bound cannot
-// predict a completion's noise, so on energy components it prunes only
-// beyond a relative slack of 1e-9 — four orders above the worst-case
-// summation noise of these <=70-term sums (~1e-13 relative), and far
-// below any real cost quantum — and near-ties fall through to full
-// evaluation in the reference's own summation order.
-func cannotBeat(obj Objective, lb, incumbent Pair) bool {
-	switch obj {
-	case ObjFlips, ObjOnes:
-		// Both components exact integer counts.
-		return !lb.Less(incumbent)
-	case ObjEnergySAW:
-		// Primary is energy (noisy): prune on it alone, beyond slack.
-		// The secondary never prunes — it only matters on an exact
-		// primary tie, which the reference resolves at ULP granularity.
-		return lb.Primary > incumbent.Primary+ulpSlack(lb.Primary, incumbent.Primary)
-	case ObjSAWEnergy:
-		// Primary (SAW count) is exact; secondary is noisy energy.
-		if lb.Primary != incumbent.Primary {
-			return lb.Primary > incumbent.Primary
-		}
-		return lb.Secondary > incumbent.Secondary+ulpSlack(lb.Secondary, incumbent.Secondary)
-	default:
-		return false
-	}
-}
-
-// ulpSlack is the relative margin separating "worse by a real cost
-// quantum" from "possibly an exact tie perturbed by summation noise".
-func ulpSlack(a, b float64) float64 {
-	return 1e-9 * (math.Abs(a) + math.Abs(b) + 1)
-}
-
-// pruneThreshold precomputes cannotBeat's noisy-component test as a
-// single bound: for nonnegative costs,
+// behavior, not just exact arithmetic. Energy sums are inexact — two
+// candidates with equal exact cost can differ by ULPs depending on
+// which terms were summed — and the reference breaks such ties by
+// exactly that noise (FuzzEncodeEquivalence found the case: two kernels
+// at exact cost 555.9 summed to 555.9 and 555.9000000000001, and the
+// reference's strict < picked the former). A bound cannot predict a
+// completion's noise, so the cut lies beyond a relative slack of 1e-9 —
+// four orders above the worst-case summation noise of these <=70-term
+// sums (~1e-13 relative), and far below any real cost quantum — and
+// near-ties fall through to full evaluation in the reference's own
+// summation order. For nonnegative costs,
 //
-//	lb > incumbent + ulpSlack(lb, incumbent)
+//	lb > incumbent + 1e-9*(lb + incumbent + 1)
 //	  <=>  lb*(1 - 1e-9) > incumbent*(1 + 1e-9) + 1e-9
 //	  <=>  lb > (incumbent*(1+1e-9) + 1e-9) / (1 - 1e-9)
 //
-// so the kernel scan refreshes the threshold once per incumbent change
-// and the per-branch check is one float compare instead of the
-// abs/mul/add slack evaluation. The float rounding of the threshold
-// itself shifts the cut by a few ULPs (~1e-16 relative) — negligible
-// against the four orders of magnitude separating the 1e-9 slack from
-// worst-case summation noise, so pruning stays sound. A negative
-// incumbent (an adversarial energy model with negative coefficients)
-// falls outside the nonnegativity assumption: disable pruning entirely
-// rather than risk over-pruning.
+// so the scan refreshes the threshold once per incumbent change and the
+// per-kernel check is one float compare. The float rounding of the
+// threshold itself shifts the cut by a few ULPs (~1e-16 relative) —
+// negligible against the four orders of magnitude separating the slack
+// from summation noise, so pruning stays sound. The SAW secondary never
+// prunes: it only matters on an exact energy tie, which the reference
+// resolves at ULP granularity. A negative incumbent falls outside the
+// nonnegativity assumption: disable pruning entirely rather than risk
+// over-pruning.
 func pruneThreshold(incumbent float64) float64 {
 	if incumbent < 0 {
 		return math.Inf(1)

@@ -22,6 +22,9 @@ type equivCodec struct {
 	mlcPlane bool // exercise the MLC right-digit-plane configuration
 }
 
+// equivCodecs is the codec list FuzzEncodeEquivalence indexes by
+// codecSel % 13; the saved fuzz seeds depend on its order and length, so
+// extend extraEquivCodecs instead.
 func equivCodecs() []equivCodec {
 	return []equivCodec{
 		{"VCC-Stored(64,256,16)", NewVCCStored(64, 16, 256, 1), 64, false},
@@ -37,6 +40,17 @@ func equivCodecs() []equivCodec {
 		{"RCC(64,256)", NewRCC(64, 256, 1), 64, false},
 		{"RCC(32,16)", NewRCC(32, 16, 2), 32, true},
 		{"Flipcy(64)", NewFlipcy(64), 64, false},
+	}
+}
+
+// extraEquivCodecs are the geometries only TestFastEncodeMatchesReference
+// covers: 8-bit lanes with p=8 and one kernel (ablate-m's m=8), and a
+// full-word r=64 ROM, which takes the table scan's generic-p loop under
+// energy+SAW.
+func extraEquivCodecs() []equivCodec {
+	return []equivCodec{
+		{"VCC-Stored(64,256,1)m8", NewVCCStored(64, 8, 256, 5), 64, false},
+		{"VCC-Stored(64,1024,64)", NewVCCStored(64, 16, 1024, 6), 64, false},
 	}
 }
 
@@ -89,22 +103,39 @@ func equivCtx(rng *prng.Rand, n int, mlcPlane bool) Ctx {
 		StuckVal:  rng.Uint64() & stuckMask,
 		OldAux:    rng.Uint64() & 0xFFFF,
 	}
-	if rng.Uint64()%4 == 0 {
-		ctx.Energy = pcm.EnergyModel{
-			MLCHighPJ: 7.25, MLCLowPJ: 1.1,
-			SLCSetPJ: 3.3, SLCResetPJ: 11.7,
-		}
+	switch rng.Uint64() % 8 {
+	case 0, 4:
+		ctx.Energy = customEnergy
+	case 1:
+		ctx.Energy = negativeEnergy
 	}
 	return ctx
 }
+
+// customEnergy is an arbitrary positive energy model; negativeEnergy
+// has a negative coefficient per cell mode, which turns off the table
+// scan (its prune bounds assume nonnegative energies) and the scans'
+// branch-free orientation select, so those contexts run the lane scan's
+// exact Pair.Less select.
+var (
+	customEnergy = pcm.EnergyModel{
+		MLCHighPJ: 7.25, MLCLowPJ: 1.1,
+		SLCSetPJ: 3.3, SLCResetPJ: 11.7,
+	}
+	negativeEnergy = pcm.EnergyModel{
+		MLCHighPJ: 7.25, MLCLowPJ: -1.5,
+		SLCSetPJ: 3.3, SLCResetPJ: -2.0,
+	}
+)
 
 var equivObjectives = []Objective{ObjFlips, ObjOnes, ObjEnergySAW, ObjSAWEnergy}
 
 // setTableMode drives the SlicedCtx nibble-table toggles through their
 // three states — 0: BindFor's amortization threshold decides, 1: tables
-// forced on every bind, 2: tables disabled (direct per-symbol pricing) —
-// so equivalence trials cross-check table-driven against direct pricing
-// on identical contexts.
+// forced on every energy+SAW bind (VCC takes the table scan), 2: tables
+// disabled (direct per-symbol pricing; VCC takes the lane scan) — so
+// equivalence trials cross-check both pricing paths and both scans on
+// identical contexts.
 func setTableMode(sc *SlicedCtx, mode int) {
 	sc.ForceTables = mode == 1
 	sc.DisableTables = mode == 2
@@ -120,7 +151,7 @@ func setTableMode(sc *SlicedCtx, mode int) {
 func TestFastEncodeMatchesReference(t *testing.T) {
 	rng := prng.New(0x5E11CED)
 	var sc SlicedCtx
-	for _, ec := range equivCodecs() {
+	for _, ec := range append(equivCodecs(), extraEquivCodecs()...) {
 		t.Run(ec.name, func(t *testing.T) {
 			for trial := 0; trial < 400; trial++ {
 				setTableMode(&sc, trial%3)
@@ -333,6 +364,10 @@ func FuzzEncodeEquivalence(f *testing.F) {
 	// stored-kernel codec, whose fast scan the warm path feeds.
 	f.Add(uint64(0x5CC5CC), uint64(0x9999), uint64(0x1111), uint64(0xF0F0),
 		uint64(0x5050), uint64(0x7), uint8(0x10|2), uint8(0))
+	// Seed pinning the negative-coefficient model (objSel bit 7) under
+	// energy+SAW on the stored-kernel codec.
+	f.Add(uint64(0x123456789), uint64(0xFEDCBA987654321), uint64(0x2468ACE),
+		uint64(0xFF00FF00FF00FF00), uint64(0x0F0F0F0F0F0F0F0F), uint64(0x15), uint8(0x80|2), uint8(0))
 
 	codecs := equivCodecs()
 	var sc SlicedCtx
@@ -360,6 +395,11 @@ func FuzzEncodeEquivalence(f *testing.F) {
 			StuckMask: stuckMask,
 			StuckVal:  stuckVal & stuckMask,
 			OldAux:    oldAux,
+		}
+		if objSel&0x80 != 0 {
+			// objSel bit 7 (set by no saved seed) prices against the
+			// negative-coefficient model.
+			ctx.Energy = negativeEnergy
 		}
 		data &= bitutil.Mask(ec.n)
 		evFast := NewEvaluator(ctx, obj)

@@ -154,7 +154,7 @@ func TestBindLineRebindAllocFree(t *testing.T) {
 	}
 	ev := NewEvaluator(ctxs[0], ObjEnergySAW)
 	var sc SlicedCtx
-	const hint = 32 // the stored-ROM hint: tables amortize under energy+SAW
+	const hint = 128 // the r=64 kernel-set hint: tables amortize under energy+SAW
 	if !sc.BindLine(ev, 16, hint) {
 		t.Fatal("BindLine refused a supported configuration")
 	}
@@ -172,7 +172,7 @@ func TestBindLineRebindAllocFree(t *testing.T) {
 		t.Errorf("warm ring pass took %d fast rebinds, want %d", got, ringLen)
 	}
 	if !sc.tabOK {
-		t.Fatal("stored-ROM hint did not build nibble tables under energy+SAW")
+		t.Fatal("r=64 hint did not build nibble tables under energy+SAW")
 	}
 	if avg := testing.AllocsPerRun(50, run); avg != 0 {
 		t.Errorf("warm BindFor ring pass allocated %.2f times, want 0", avg)

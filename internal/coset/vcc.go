@@ -32,26 +32,28 @@ type VCC struct {
 
 	// sc is the codec-owned sliced context backing the plain Encode
 	// entry point; callers that batch words (memctrl) pass their own via
-	// EncodeSliced. fs is the fast-path search scratch (candidate cost
-	// tables, kernel classes, bound suffixes), allocated on first use
-	// and reused so steady-state encodes are allocation-free. Both make
-	// a VCC, like the kernel sources it wraps, single-goroutine state.
+	// EncodeSliced. It makes a VCC, like the kernel sources it wraps,
+	// single-goroutine state.
 	sc SlicedCtx
-	fs vccSearch
 
-	// Decode fast-path plan, fixed at construction (see DecodeWords).
-	// repMul tiles an m-bit kernel across all p partitions with one
-	// multiply (ones at bit positions j*m; kernels carry no bits above
-	// m, so the partial products never overlap and the sum is exactly
-	// the OR of the shifted copies). flagTab maps the p flag bits to
-	// the full-plane complement mask they select. storedTiled caches
-	// the ROM kernels pre-tiled; kat answers single generated kernels
-	// without expanding the set. flagTab == nil (p too wide for the
-	// table) disables the plan and DecodeWords falls back to Decode.
-	repMul      uint64
-	flagTab     []uint64
-	storedTiled []uint64
-	kat         KernelAtSource
+	// Kernel tiling, fixed at construction. repMul tiles an m-bit kernel
+	// across all p partitions with one multiply (ones at bit positions
+	// j*m; kernels carry no bits above m, so the partial products never
+	// overlap and the sum is exactly the OR of the shifted copies).
+	// flagTab maps the p flag bits to the full-plane complement mask they
+	// select. storedTiled caches the ROM kernels pre-tiled, and
+	// storedSpread the same images spread onto the right digits of an MLC
+	// word (planes of at most 32 bits only); laneImg is the lane scan's
+	// per-word scratch for the images of a generated set. kat answers
+	// single generated kernels without expanding the set. flagTab == nil
+	// (p too wide for the table) disables all of it and DecodeWords falls
+	// back to Decode; no lane geometry has that many partitions.
+	repMul       uint64
+	flagTab      []uint64
+	storedTiled  []uint64
+	storedSpread []uint64
+	laneImg      []uint64
+	kat          KernelAtSource
 }
 
 // vccFlagTabMaxP bounds the decode flag table at 256 entries (2 KiB).
@@ -59,130 +61,6 @@ type VCC struct {
 // outgrow its cache-residency budget for a rarely-used geometry, so
 // those decode through the reference path instead.
 const vccFlagTabMaxP = 8
-
-// vccSearch is the reusable scratch of the sliced encode search.
-type vccSearch struct {
-	// Kernel canonicalization: kernels k and k^mMask generate the same
-	// per-partition candidate values (with flag roles swapped), so each
-	// kernel maps to a class — the canonical value min(k, k^mMask) — and
-	// an orientation (comp: whether the kernel is the complemented
-	// form). Distinct classes, not kernels, pay candidate pricing.
-	canon []uint64 // distinct canonical kernel values (len q <= r)
-	pres  []uint8  // per class: bit 0/1 = plain/complemented kernel present
-	class []int32  // per kernel: class index
-	comp  []bool   // per kernel: complemented orientation
-	tab   []uint64 // open-addressed canon -> class map (power-of-two size)
-
-	// Per-partition candidate cost tables: choice[j*q+t] is class t's
-	// resolved decision (chosen sub-value, flag bit, cost including the
-	// flag aux bit) for partition j, for both orientations.
-	choice []partChoice
-
-	// idxP caches the kernel-index aux-bit primary costs per bit value
-	// for the ObjEnergySAW specialization, so surviving kernels fold
-	// their index bits with one indexed load each.
-	idxP [2][16]float64
-
-	// Branch-and-bound state: lb[j] is the component-wise floor of every
-	// available choice in partition j, lbSuffix[j] the floor of
-	// completing partitions j..p-1. Index-bit cost enters the bound as a
-	// single shared floor (idxFloor, the cheaper aux value per index
-	// bit, summed) rather than per kernel — the final sum of a surviving
-	// kernel re-adds its exact index bits in reference order.
-	lb       []Pair
-	lbSuffix []Pair
-
-	// epoch invalidates tab lazily: a slot is live only when its stored
-	// epoch matches, so dedupe skips the O(len(tab)) clear per word.
-	epoch uint32
-
-	// Stored kernel ROMs never change, so their canonicalization is
-	// computed once (staticDone) and the class count cached (staticQ)
-	// instead of re-hashing the identical kernel set every word.
-	staticDone bool
-	staticQ    int
-}
-
-// partChoice holds one kernel class's resolved decision for one
-// partition, indexed by kernel orientation.
-type partChoice struct {
-	enc  [2]uint64
-	flag [2]uint64
-	cost [2]Pair
-}
-
-// ensure sizes the scratch for r kernels over p partitions.
-func (s *vccSearch) ensure(r, p int) {
-	if cap(s.canon) < r {
-		s.canon = make([]uint64, r)
-		s.pres = make([]uint8, r)
-		s.class = make([]int32, r)
-		s.comp = make([]bool, r)
-		n := 1
-		for n < 2*r {
-			n <<= 1
-		}
-		s.tab = make([]uint64, n)
-		s.epoch = 0
-	}
-	if cap(s.choice) < r*p {
-		s.choice = make([]partChoice, r*p)
-	}
-	if cap(s.lb) < p {
-		s.lb = make([]Pair, p)
-		s.lbSuffix = make([]Pair, p+1)
-	}
-}
-
-// dedupe canonicalizes the kernel set and returns the class count q.
-// tab slots pack (epoch << 32) | (class + 1); a stale epoch means empty,
-// so advancing the epoch invalidates the whole map in O(1). The epoch is
-// 32 bits, so a full clear happens once every 2^32 words on wrap.
-func (s *vccSearch) dedupe(kernels []uint64, mMask uint64) int {
-	tab := s.tab
-	s.epoch++
-	if s.epoch == 0 { // wrapped: stale slots could alias the new epoch
-		for i := range tab {
-			tab[i] = 0
-		}
-		s.epoch = 1
-	}
-	live := uint64(s.epoch) << 32
-	shift := uint(64 - bits.TrailingZeros(uint(len(tab))))
-	q := 0
-	for i, k := range kernels {
-		canon, comp := k, false
-		if kc := k ^ mMask; kc < k {
-			canon, comp = kc, true
-		}
-		h := (canon * 0x9E3779B97F4A7C15) >> shift
-		for {
-			var t int32
-			if e := tab[h]; e>>32 != uint64(s.epoch) {
-				tab[h] = live | uint64(q+1)
-				s.canon[q] = canon
-				s.pres[q] = 0
-				t = int32(q)
-				q++
-			} else {
-				t = int32(e&0xFFFFFFFF) - 1
-				if s.canon[t] != canon {
-					h = (h + 1) & uint64(len(tab)-1)
-					continue
-				}
-			}
-			s.class[i] = t
-			s.comp[i] = comp
-			if comp {
-				s.pres[t] |= 2
-			} else {
-				s.pres[t] |= 1
-			}
-			break
-		}
-	}
-	return q
-}
 
 // NewVCC builds a VCC codec over n-bit planes using kernels from src
 // (whose width m must divide n).
@@ -212,8 +90,17 @@ func NewVCC(n int, src KernelSource) *VCC {
 			for i, k := range ks {
 				c.storedTiled[i] = k * c.repMul
 			}
-		} else if ka, ok := src.(KernelAtSource); ok {
-			c.kat = ka
+			if n <= 32 {
+				c.storedSpread = make([]uint64, len(ks))
+				for i, t := range c.storedTiled {
+					c.storedSpread[i] = bitutil.SpreadEven(t)
+				}
+			}
+		} else {
+			c.laneImg = make([]uint64, src.NumKernels())
+			if ka, ok := src.(KernelAtSource); ok {
+				c.kat = ka
+			}
 		}
 	}
 	return c
@@ -330,218 +217,50 @@ func (c *VCC) EncodeRef(data uint64, ev *Evaluator) (uint64, uint64) {
 	return bestEnc, bestAux
 }
 
-// EncodeSliced implements FastCodec: Algorithm 1 restructured around the
+// EncodeSliced implements FastCodec: Algorithm 1 priced through the
 // sliced write context sc (rebound here; the caller only provides the
-// reusable storage). Three phases replace the reference's uniform
-// r x p x 2 Evaluator sweep:
+// reusable storage). One rule on the bound context picks the scan:
 //
-//  1. Kernel class layout. Stored ROMs are canonicalized once (kernels
-//     k and k^mMask span the same candidate values per partition, so
-//     kernels collapse into q <= r classes) and the result reused for
-//     every word. Generated sources vary per word, but Algorithm 2's
-//     mask width already keeps complements out of the set and exact
-//     duplicates need base-vector collisions (probability ~r/2^m on
-//     random data), so hashing every kernel every word costs more than
-//     the rare duplicate pricing it would save: each kernel is its own
-//     class, exactly the reference's view.
-//  2. Per-partition candidate cost tables. For each partition j and
-//     class t the candidate pair {dj^k, dj^k^mMask} is priced in one
-//     PartCostPair walk through the sliced context (nibble tables when
-//     bound), the flag decision (including the flag bit's own aux
-//     cost, from the 2x2 table) is resolved per orientation, and a
-//     component-wise cost floor per partition is recorded.
-//  3. Branch-and-bound kernel scan. Each kernel's total is now a sum of
-//     table entries, accumulated in the reference's summation order; a
-//     kernel is abandoned as soon as its partial cost plus the floor of
-//     the remaining partitions and index bits provably cannot beat the
-//     incumbent. The prune predicate is cannotBeat's, with the noisy
-//     component's slack test precomputed into a single bound per
-//     incumbent (see pruneThreshold for why this never changes the
-//     selected coset).
+//   - the table scan (encodeTables) when BindFor bound nibble tables —
+//     energy+SAW with at least nibTableMinPrices prices per nibble group,
+//     i.e. r >= 32 kernels at m=16 — and its guards hold (partitions of
+//     fewer than 64 cells, nonnegative finite coefficients). There its
+//     prune after the first partition skips most kernels' remaining
+//     work;
+//   - otherwise the lane scan (encodeLanes), which prices all p
+//     partitions of a kernel in both orientations in one 64-bit word,
+//     for every objective and lane geometry;
+//   - otherwise EncodeRef.
+//
+// Both scans are bit-identical to EncodeRef (TestFastEncodeMatchesReference
+// and FuzzEncodeEquivalence hold them to it, ForceTables and
+// DisableTables steering each context through both).
 func (c *VCC) EncodeSliced(data uint64, ev *Evaluator, sc *SlicedCtx) (uint64, uint64) {
 	// A context whose plane width disagrees with the codec's would slice
 	// into partitions the search does not iterate; the reference path
 	// defines the (degenerate) semantics of that misuse, so defer to it.
-	// Each kernel prices both complements of every partition, so the
-	// bind hint clears the nibble-table threshold for every real VCC
-	// geometry.
+	// Each kernel prices both complements of every partition: the bind
+	// hint is 2r prices per partition.
 	if ev.Ctx.N != c.n || !sc.BindFor(ev, c.m, 2*c.src.NumKernels()) {
 		return c.EncodeRef(data, ev)
 	}
 	d := data & bitutil.Mask(c.n)
 	kernels := c.src.Kernels(ev.Ctx.NewLeft)
-	r := len(kernels)
-	s := &c.fs
-	// The specialization prices kernels[i] directly and never consults
-	// the class tables, so it serves stored ROMs and per-word generated
-	// sets alike (pricing a duplicate kernel costs four table loads —
-	// cheaper than the dedupe that would skip it). Its suffix bounds
-	// assume cell energies are nonnegative (remaining partitions are
-	// floored at their aux cost alone), so a pathological
-	// negative-coefficient model stays on the generic path, whose floors
-	// are minima of actual candidate costs.
-	if sc.tabOK && sc.obj == ObjEnergySAW && sc.etabFits &&
-		sc.cHi >= 0 && sc.cLo >= 0 {
-		return c.encodeSlicedEnergySAW(d, kernels, sc, s)
+	switch {
+	case sc.tabOK && sc.etabFits && sc.nonneg:
+		return c.encodeTables(d, kernels, sc)
+	case sc.lane != 0:
+		return c.encodeLanes(d, kernels, sc)
+	default:
+		return c.EncodeRef(data, ev)
 	}
-	if sc.obj == ObjFlips && !sc.tabOK {
-		return c.encodeSlicedFlips(d, kernels, sc)
-	}
-	s.ensure(r, c.p)
-	mMask := bitutil.Mask(c.m)
-	identity := !c.src.Stored()
-	var q int
-	if identity {
-		q = r
-	} else {
-		if !s.staticDone {
-			s.staticQ = s.dedupe(kernels, mMask)
-			s.staticDone = true
-		}
-		q = s.staticQ
-	}
-
-	auxBits := c.AuxBits()
-	for j := 0; j < c.p; j++ {
-		dj := bitutil.SubBlock(d, j, c.m)
-		a0 := sc.AuxBit(j, 0)
-		a1 := sc.AuxBit(j, 1)
-		floor := pairInf
-		row := s.choice[j*q : (j+1)*q]
-		if identity {
-			// Per-word kernels, plain orientation only: same decision
-			// and tie-break as the reference's flag scan.
-			for t := 0; t < q; t++ {
-				y0 := dj ^ kernels[t]
-				pc0, pc1 := sc.PartCostPair(j, y0)
-				e := &row[t]
-				c0 := pc0.Add(a0)
-				c1 := pc1.Add(a1)
-				if c1.Less(c0) {
-					e.cost[0], e.enc[0], e.flag[0] = c1, y0^mMask, 1
-				} else {
-					e.cost[0], e.enc[0], e.flag[0] = c0, y0, 0
-				}
-				floor = pairFloor(floor, e.cost[0])
-			}
-			s.lb[j] = floor
-			continue
-		}
-		for t := 0; t < q; t++ {
-			y0 := dj ^ s.canon[t]
-			y1 := y0 ^ mMask
-			pc0, pc1 := sc.PartCostPair(j, y0)
-			e := &row[t]
-			pres := s.pres[t]
-			if pres&1 != 0 { // plain orientation: flag 0 writes y0
-				c0 := pc0.Add(a0)
-				c1 := pc1.Add(a1)
-				if c1.Less(c0) {
-					e.cost[0], e.enc[0], e.flag[0] = c1, y1, 1
-				} else {
-					e.cost[0], e.enc[0], e.flag[0] = c0, y0, 0
-				}
-				floor = pairFloor(floor, e.cost[0])
-			}
-			if pres&2 != 0 { // complemented orientation: flag 0 writes y1
-				c0 := pc1.Add(a0)
-				c1 := pc0.Add(a1)
-				if c1.Less(c0) {
-					e.cost[1], e.enc[1], e.flag[1] = c1, y0, 1
-				} else {
-					e.cost[1], e.enc[1], e.flag[1] = c0, y1, 0
-				}
-				floor = pairFloor(floor, e.cost[1])
-			}
-		}
-		s.lb[j] = floor
-	}
-	// Fold the cheapest possible index-bit spend into the bound suffix:
-	// every kernel pays at least the cheaper aux value per index bit, so
-	// the floor stays a valid component-wise lower bound for all of them.
-	var idxFloor Pair
-	for b := c.p; b < auxBits; b++ {
-		idxFloor = idxFloor.Add(pairFloor(sc.AuxBit(b, 0), sc.AuxBit(b, 1)))
-	}
-	s.lbSuffix[c.p] = idxFloor
-	for j := c.p - 1; j >= 0; j-- {
-		s.lbSuffix[j] = s.lb[j].Add(s.lbSuffix[j+1])
-	}
-
-	obj := sc.obj
-	var bestEnc, bestAux uint64
-	var bestCost Pair
-	// Precomputed prune cuts (see pruneThreshold): threshP bounds the
-	// noisy primary under ObjEnergySAW, threshS the noisy secondary
-	// under ObjSAWEnergy. Both refresh only when the incumbent changes,
-	// so the inner check is a compare instead of cannotBeat's slack
-	// evaluation — same predicate, hoisted.
-	var threshP, threshS float64
-	for i := 0; i < r; i++ {
-		t, o := i, 0
-		if !identity {
-			t = int(s.class[i])
-			if s.comp[i] {
-				o = 1
-			}
-		}
-		var enc, flags uint64
-		var cost Pair
-		pruned := false
-		for j := 0; j < c.p; j++ {
-			e := &s.choice[j*q+t]
-			cost = cost.Add(e.cost[o])
-			enc |= e.enc[o] << uint(j*c.m)
-			flags |= e.flag[o] << uint(j)
-			if i == 0 {
-				continue
-			}
-			lb := s.lbSuffix[j+1]
-			switch obj {
-			case ObjEnergySAW:
-				pruned = cost.Primary+lb.Primary > threshP
-			case ObjSAWEnergy:
-				p := cost.Primary + lb.Primary
-				pruned = p > bestCost.Primary ||
-					(p == bestCost.Primary && cost.Secondary+lb.Secondary > threshS)
-			default: // exact integer components: a >= bound cannot win
-				p := cost.Primary + lb.Primary
-				pruned = p > bestCost.Primary ||
-					(p == bestCost.Primary && cost.Secondary+lb.Secondary >= bestCost.Secondary)
-			}
-			if pruned {
-				break
-			}
-		}
-		if pruned {
-			continue
-		}
-		for b := c.p; b < auxBits; b++ {
-			cost = cost.Add(sc.AuxBit(b, uint64(i)>>uint(b-c.p)&1))
-		}
-		aux := uint64(i)<<uint(c.p) | flags
-		if i == 0 || cost.Less(bestCost) {
-			bestEnc, bestAux, bestCost = enc, aux, cost
-			switch obj {
-			case ObjEnergySAW:
-				threshP = pruneThreshold(bestCost.Primary)
-			case ObjSAWEnergy:
-				threshS = pruneThreshold(bestCost.Secondary)
-			}
-		}
-	}
-	return bestEnc, bestAux
 }
 
-// encodeSlicedEnergySAW is EncodeSliced's hot specialization: nibble
-// tables bound, ObjEnergySAW with nonnegative cell energies — the
-// memory-controller configuration the paper's encode-latency claim
-// rests on. It prices each kernel value as supplied by the source, so
-// it serves stored ROMs (whose tables BindFor now amortizes at r=16)
-// exactly as it serves per-word generated sets. Instead of the generic
-// fill-then-scan structure it runs one lazy pass in kernel order: each
-// partition of a kernel is priced on demand (one fused table walk
-// yields both orientations' packed counts; the energy
+// encodeTables is EncodeSliced's table scan: nibble tables bound,
+// ObjEnergySAW with nonnegative cell energies, and a kernel set large
+// enough (r >= 32 at m=16) that pruning pays. It runs one lazy pass in
+// kernel order: each partition of a kernel is priced on demand (one
+// fused table walk yields both orientations' packed counts; the energy
 // multiply-accumulate is memoized per count pair in sc.etab) and the
 // kernel is abandoned the moment its partial cost plus the remaining
 // partitions' aux-cost floor cannot beat the incumbent. Pruned kernels
@@ -556,15 +275,17 @@ func (c *VCC) EncodeSliced(data uint64, ev *Evaluator, sc *SlicedCtx) (uint64, u
 // of any candidate sum is exactly float64 of its integer count); the
 // kernel total accumulates in the reference's partition order; and the
 // incumbent updates on the reference's exact comparison in the
-// reference's kernel order. Pruning uses pruneThreshold against a sound
-// lower bound of the remaining cost (energies are nonnegative — the
-// dispatch guard — and each remaining aux bit costs at least its
-// cheaper value), so no kernel that could have updated the incumbent is
-// ever skipped. The bound is weaker than the generic path's measured
-// per-partition floors, but the prune only has to pay for itself: here
-// a successful first-partition cut saves whole candidate evaluations,
-// not just table loads.
-func (c *VCC) encodeSlicedEnergySAW(d uint64, kernels []uint64, sc *SlicedCtx, s *vccSearch) (uint64, uint64) {
+// reference's kernel order. The orientation select works on IEEE bit
+// patterns: candidate energies are nonnegative finite floats (the
+// dispatch guard), for which Float64bits is monotone and injective, so
+// the lexicographic (energy, SAW) comparison and the value select run as
+// integer mask algebra (lexLess) — the chosen value is bit-identical to
+// the branchy compare's, with no 50/50 data-dependent branch in the loop
+// body. Pruning uses pruneThreshold against a sound lower bound of the
+// remaining cost (energies are nonnegative and each remaining aux bit
+// costs at least its cheaper value), so no kernel that could have
+// updated the incumbent is ever skipped.
+func (c *VCC) encodeTables(d uint64, kernels []uint64, sc *SlicedCtx) (uint64, uint64) {
 	q := len(kernels)
 	mMask := bitutil.Mask(c.m)
 	groups := sc.groups
@@ -583,13 +304,16 @@ func (c *VCC) encodeSlicedEnergySAW(d uint64, kernels []uint64, sc *SlicedCtx, s
 		a0[j] = sc.AuxBit(j, 0).Primary
 		a1[j] = sc.AuxBit(j, 1).Primary
 	}
-	useIdxTab := nb <= len(s.idxP[0])
+	// idxP caches the kernel-index aux-bit costs per bit value, so
+	// surviving kernels fold their index bits with one indexed load each.
+	var idxP [2][16]float64
+	useIdxTab := nb <= len(idxP[0])
 	idxFloorP := 0.0
 	for b := 0; b < nb; b++ {
 		f0 := sc.AuxBit(c.p+b, 0).Primary
 		f1 := sc.AuxBit(c.p+b, 1).Primary
 		if useIdxTab {
-			s.idxP[0][b], s.idxP[1][b] = f0, f1
+			idxP[0][b], idxP[1][b] = f0, f1
 		}
 		if f1 < f0 {
 			f0 = f1
@@ -611,14 +335,7 @@ func (c *VCC) encodeSlicedEnergySAW(d uint64, kernels []uint64, sc *SlicedCtx, s
 	var threshP float64
 	if c.p == 2 && groups == 4 {
 		// The headline geometry (n=32, m=16, MLC plane): both partition
-		// evaluations unrolled with every loop-invariant in a register,
-		// and the orientation select computed branch-free. The select
-		// works on IEEE bit patterns: candidate energies are nonnegative
-		// finite floats, for which Float64bits is monotone and injective,
-		// so the lexicographic (energy, SAW) comparison and the value
-		// select itself run as integer mask algebra — the chosen value is
-		// bit-identical to the branchy compare's, with no 50/50 data-
-		// dependent branch in the loop body.
+		// evaluations unrolled with every loop-invariant in a register.
 		t40 := sc.nibTab[0:64]
 		t41 := sc.nibTab[64:128]
 		d0, d1 := djv[0], djv[1]
@@ -637,12 +354,8 @@ func (c *VCC) encodeSlicedEnergySAW(d uint64, kernels []uint64, sc *SlicedCtx, s
 			b1 := math.Float64bits(etab[(acc1&0x3F)|(acc1>>2&0xFC0)] + a10)
 			saw0 := uint64(acc0 >> 16)
 			saw1 := uint64(acc1 >> 16)
-			// w = all-ones iff (c1p, saw1) < (c0p, saw0) lexicographically.
-			e := b0 ^ b1
-			mNE := uint64(int64(e|(0-e)) >> 63)
-			mLT := uint64((int64(b1) - int64(b0)) >> 63)
-			w := mLT | (^mNE & uint64((int64(saw1)-int64(saw0))>>63))
-			cp := math.Float64frombits(b0 ^ (e & w))
+			w := lexLess(b1, b0, saw1, saw0)
+			cp := math.Float64frombits(b0 ^ (b0^b1)&w)
 			enc := y0 ^ (mMask & w)
 			flags := w & 1
 			saw := saw0 ^ ((saw0 ^ saw1) & w)
@@ -658,11 +371,8 @@ func (c *VCC) encodeSlicedEnergySAW(d uint64, kernels []uint64, sc *SlicedCtx, s
 			b1 = math.Float64bits(etab[(acc1&0x3F)|(acc1>>2&0xFC0)] + a11)
 			saw0 = uint64(acc0 >> 16)
 			saw1 = uint64(acc1 >> 16)
-			e = b0 ^ b1
-			mNE = uint64(int64(e|(0-e)) >> 63)
-			mLT = uint64((int64(b1) - int64(b0)) >> 63)
-			w = mLT | (^mNE & uint64((int64(saw1)-int64(saw0))>>63))
-			cp += math.Float64frombits(b0 ^ (e & w))
+			w = lexLess(b1, b0, saw1, saw0)
+			cp += math.Float64frombits(b0 ^ (b0^b1)&w)
 			enc |= (y1 ^ (mMask & w)) << shm
 			flags |= (w & 1) << 1
 			saw += saw0 ^ ((saw0 ^ saw1) & w)
@@ -671,7 +381,7 @@ func (c *VCC) encodeSlicedEnergySAW(d uint64, kernels []uint64, sc *SlicedCtx, s
 			}
 			if useIdxTab {
 				for b := 0; b < nb; b++ {
-					cp += s.idxP[uint64(i)>>uint(b)&1][b]
+					cp += idxP[uint64(i)>>uint(b)&1][b]
 				}
 			} else {
 				for b := c.p; b < auxBits; b++ {
@@ -681,124 +391,6 @@ func (c *VCC) encodeSlicedEnergySAW(d uint64, kernels []uint64, sc *SlicedCtx, s
 			if i == 0 || cp < bestP || (cp == bestP && saw < bestSaw) {
 				bestEnc = enc
 				bestAux = uint64(i)<<2 | flags
-				bestP, bestSaw = cp, saw
-				threshP = pruneThreshold(bestP)
-			}
-		}
-		return bestEnc, bestAux
-	}
-	if c.p == 4 && groups == 4 {
-		// The full-word stored geometry (n=64, m=16 — the engine's
-		// default codec, SLC or full-word MLC): all four partition
-		// evaluations unrolled with the same branch-free IEEE-bit
-		// select as the p=2 plane variant above, loop-invariants
-		// (table windows, aux costs, suffix floors) held in registers
-		// and a prune check after every partition.
-		t40 := sc.nibTab[0:64]
-		t41 := sc.nibTab[64:128]
-		t42 := sc.nibTab[128:192]
-		t43 := sc.nibTab[192:256]
-		d0, d1, d2, d3 := djv[0], djv[1], djv[2], djv[3]
-		a00, a10 := a0[0], a1[0]
-		a01, a11 := a0[1], a1[1]
-		a02, a12 := a0[2], a1[2]
-		a03, a13 := a0[3], a1[3]
-		suff1, suff2, suff3, suff4 := suff[1], suff[2], suff[3], suff[4]
-		shm := uint(c.m)
-		for i := 0; i < q; i++ {
-			k := kernels[i]
-			y := d0 ^ k
-			acc := t40[y&0xF] + t40[16+(y>>4&0xF)] +
-				t40[32+(y>>8&0xF)] + t40[48+(y>>12&0xF)]
-			acc0 := uint32(acc)
-			acc1 := uint32(acc >> 32)
-			b0 := math.Float64bits(etab[(acc0&0x3F)|(acc0>>2&0xFC0)] + a00)
-			b1 := math.Float64bits(etab[(acc1&0x3F)|(acc1>>2&0xFC0)] + a10)
-			saw0 := uint64(acc0 >> 16)
-			saw1 := uint64(acc1 >> 16)
-			e := b0 ^ b1
-			mNE := uint64(int64(e|(0-e)) >> 63)
-			mLT := uint64((int64(b1) - int64(b0)) >> 63)
-			w := mLT | (^mNE & uint64((int64(saw1)-int64(saw0))>>63))
-			cp := math.Float64frombits(b0 ^ (e & w))
-			enc := y ^ (mMask & w)
-			flags := w & 1
-			saw := saw0 ^ ((saw0 ^ saw1) & w)
-			if i > 0 && cp+suff1 > threshP {
-				continue
-			}
-			y = d1 ^ k
-			acc = t41[y&0xF] + t41[16+(y>>4&0xF)] +
-				t41[32+(y>>8&0xF)] + t41[48+(y>>12&0xF)]
-			acc0 = uint32(acc)
-			acc1 = uint32(acc >> 32)
-			b0 = math.Float64bits(etab[(acc0&0x3F)|(acc0>>2&0xFC0)] + a01)
-			b1 = math.Float64bits(etab[(acc1&0x3F)|(acc1>>2&0xFC0)] + a11)
-			saw0 = uint64(acc0 >> 16)
-			saw1 = uint64(acc1 >> 16)
-			e = b0 ^ b1
-			mNE = uint64(int64(e|(0-e)) >> 63)
-			mLT = uint64((int64(b1) - int64(b0)) >> 63)
-			w = mLT | (^mNE & uint64((int64(saw1)-int64(saw0))>>63))
-			cp += math.Float64frombits(b0 ^ (e & w))
-			enc |= (y ^ (mMask & w)) << shm
-			flags |= (w & 1) << 1
-			saw += saw0 ^ ((saw0 ^ saw1) & w)
-			if i > 0 && cp+suff2 > threshP {
-				continue
-			}
-			y = d2 ^ k
-			acc = t42[y&0xF] + t42[16+(y>>4&0xF)] +
-				t42[32+(y>>8&0xF)] + t42[48+(y>>12&0xF)]
-			acc0 = uint32(acc)
-			acc1 = uint32(acc >> 32)
-			b0 = math.Float64bits(etab[(acc0&0x3F)|(acc0>>2&0xFC0)] + a02)
-			b1 = math.Float64bits(etab[(acc1&0x3F)|(acc1>>2&0xFC0)] + a12)
-			saw0 = uint64(acc0 >> 16)
-			saw1 = uint64(acc1 >> 16)
-			e = b0 ^ b1
-			mNE = uint64(int64(e|(0-e)) >> 63)
-			mLT = uint64((int64(b1) - int64(b0)) >> 63)
-			w = mLT | (^mNE & uint64((int64(saw1)-int64(saw0))>>63))
-			cp += math.Float64frombits(b0 ^ (e & w))
-			enc |= (y ^ (mMask & w)) << (2 * shm)
-			flags |= (w & 1) << 2
-			saw += saw0 ^ ((saw0 ^ saw1) & w)
-			if i > 0 && cp+suff3 > threshP {
-				continue
-			}
-			y = d3 ^ k
-			acc = t43[y&0xF] + t43[16+(y>>4&0xF)] +
-				t43[32+(y>>8&0xF)] + t43[48+(y>>12&0xF)]
-			acc0 = uint32(acc)
-			acc1 = uint32(acc >> 32)
-			b0 = math.Float64bits(etab[(acc0&0x3F)|(acc0>>2&0xFC0)] + a03)
-			b1 = math.Float64bits(etab[(acc1&0x3F)|(acc1>>2&0xFC0)] + a13)
-			saw0 = uint64(acc0 >> 16)
-			saw1 = uint64(acc1 >> 16)
-			e = b0 ^ b1
-			mNE = uint64(int64(e|(0-e)) >> 63)
-			mLT = uint64((int64(b1) - int64(b0)) >> 63)
-			w = mLT | (^mNE & uint64((int64(saw1)-int64(saw0))>>63))
-			cp += math.Float64frombits(b0 ^ (e & w))
-			enc |= (y ^ (mMask & w)) << (3 * shm)
-			flags |= (w & 1) << 3
-			saw += saw0 ^ ((saw0 ^ saw1) & w)
-			if i > 0 && cp+suff4 > threshP {
-				continue
-			}
-			if useIdxTab {
-				for b := 0; b < nb; b++ {
-					cp += s.idxP[uint64(i)>>uint(b)&1][b]
-				}
-			} else {
-				for b := c.p; b < auxBits; b++ {
-					cp += sc.AuxBit(b, uint64(i)>>uint(b-c.p)&1).Primary
-				}
-			}
-			if i == 0 || cp < bestP || (cp == bestP && saw < bestSaw) {
-				bestEnc = enc
-				bestAux = uint64(i)<<4 | flags
 				bestP, bestSaw = cp, saw
 				threshP = pruneThreshold(bestP)
 			}
@@ -830,21 +422,15 @@ func (c *VCC) encodeSlicedEnergySAW(d uint64, kernels []uint64, sc *SlicedCtx, s
 			}
 			acc0 := uint32(acc)
 			acc1 := uint32(acc >> 32)
-			c0p := etab[(acc0&0x3F)|(acc0>>2&0xFC0)] + a0[j]
-			c1p := etab[(acc1&0x3F)|(acc1>>2&0xFC0)] + a1[j]
-			saw0 := acc0 >> 16
-			saw1 := acc1 >> 16
-			sh := uint(j * c.m)
-			if c1p < c0p || (c1p == c0p && saw1 < saw0) {
-				cp += c1p
-				enc |= (y0 ^ mMask) << sh
-				flags |= uint64(1) << uint(j)
-				saw += uint64(saw1)
-			} else {
-				cp += c0p
-				enc |= y0 << sh
-				saw += uint64(saw0)
-			}
+			b0 := math.Float64bits(etab[(acc0&0x3F)|(acc0>>2&0xFC0)] + a0[j])
+			b1 := math.Float64bits(etab[(acc1&0x3F)|(acc1>>2&0xFC0)] + a1[j])
+			saw0 := uint64(acc0 >> 16)
+			saw1 := uint64(acc1 >> 16)
+			w := lexLess(b1, b0, saw1, saw0)
+			cp += math.Float64frombits(b0 ^ (b0^b1)&w)
+			enc |= (y0 ^ mMask&w) << (uint(j*c.m) & 63)
+			flags |= (w & 1) << (uint(j) & 63)
+			saw += saw0 ^ (saw0^saw1)&w
 			if i > 0 && cp+suff[j+1] > threshP {
 				pruned = true
 				break
@@ -855,7 +441,7 @@ func (c *VCC) encodeSlicedEnergySAW(d uint64, kernels []uint64, sc *SlicedCtx, s
 		}
 		if useIdxTab {
 			for b := 0; b < nb; b++ {
-				cp += s.idxP[uint64(i)>>uint(b)&1][b]
+				cp += idxP[uint64(i)>>uint(b)&1][b]
 			}
 		} else {
 			for b := c.p; b < auxBits; b++ {
@@ -867,85 +453,6 @@ func (c *VCC) encodeSlicedEnergySAW(d uint64, kernels []uint64, sc *SlicedCtx, s
 			bestAux = uint64(i)<<uint(c.p) | flags
 			bestP, bestSaw = cp, saw
 			threshP = pruneThreshold(bestP)
-		}
-	}
-	return bestEnc, bestAux
-}
-
-// encodeSlicedFlips is the table-free integer specialization for
-// ObjFlips — the engine's default objective. Flip counts and aux-bit
-// costs are small nonnegative integers whose float64 images are exact,
-// and a flips Pair carries zero Secondary, so every comparison the
-// reference search makes (orientation select, incumbent update, prune)
-// collapses to an integer compare: the specialization reproduces
-// EncodeRef decision for decision with no float arithmetic at all. Like
-// the energy+SAW scan it prices each kernel value exactly as the source
-// supplies it (stored ROM or generated), lazily per partition,
-// abandoning a kernel once its partial count plus the remaining
-// partitions' aux-cost floor reaches the incumbent — integer counts are
-// exact, so >= prunes soundly against the reference's strict-improvement
-// rule.
-func (c *VCC) encodeSlicedFlips(d uint64, kernels []uint64, sc *SlicedCtx) (uint64, uint64) {
-	mMask := bitutil.Mask(c.m)
-	auxBits := c.AuxBits()
-	var djv [maxSlices]uint64
-	var a0, a1 [maxSlices]int
-	var suff [maxSlices + 1]int
-	for j := 0; j < c.p; j++ {
-		djv[j] = bitutil.SubBlock(d, j, c.m)
-		a0[j] = int(sc.AuxBit(j, 0).Primary)
-		a1[j] = int(sc.AuxBit(j, 1).Primary)
-	}
-	idxFloor := 0
-	for b := c.p; b < auxBits; b++ {
-		f0 := int(sc.AuxBit(b, 0).Primary)
-		if f1 := int(sc.AuxBit(b, 1).Primary); f1 < f0 {
-			f0 = f1
-		}
-		idxFloor += f0
-	}
-	suff[c.p] = idxFloor
-	for j := c.p - 1; j >= 0; j-- {
-		af := a0[j]
-		if a1[j] < af {
-			af = a1[j]
-		}
-		suff[j] = af + suff[j+1]
-	}
-	var bestEnc, bestAux uint64
-	best := 0
-	for i, k := range kernels {
-		var enc, flags uint64
-		cost := 0
-		pruned := false
-		for j := 0; j < c.p; j++ {
-			y0 := djv[j] ^ k
-			c0 := sc.sliceFlips(j, y0) + a0[j]
-			c1 := sc.sliceFlips(j, y0^mMask) + a1[j]
-			sh := uint(j * c.m)
-			if c1 < c0 {
-				cost += c1
-				enc |= (y0 ^ mMask) << sh
-				flags |= 1 << uint(j)
-			} else {
-				cost += c0
-				enc |= y0 << sh
-			}
-			if i > 0 && cost+suff[j+1] >= best {
-				pruned = true
-				break
-			}
-		}
-		if pruned {
-			continue
-		}
-		for b := c.p; b < auxBits; b++ {
-			cost += int(sc.AuxBit(b, uint64(i)>>uint(b-c.p)&1).Primary)
-		}
-		if i == 0 || cost < best {
-			bestEnc = enc
-			bestAux = uint64(i)<<uint(c.p) | flags
-			best = cost
 		}
 	}
 	return bestEnc, bestAux

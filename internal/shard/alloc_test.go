@@ -68,8 +68,8 @@ func TestApplySteadyStateAllocsSlicedEncoders(t *testing.T) {
 				ops[i] = Op{Kind: kind, Line: (i * 7) % lines, Data: data}
 			}
 			outs := make([]Outcome, batch)
-			// One warm pass settles lazily-built scratch (kernel dedupe
-			// state, issue-queue ticket pool) before counting.
+			// One warm pass settles lazily-built scratch (the issue-queue
+			// ticket pool) before counting.
 			if outs, err = e.Apply(ops, outs); err != nil {
 				t.Fatal(err)
 			}
