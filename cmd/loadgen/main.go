@@ -24,8 +24,10 @@
 // reconnects counters; error_responses and transport_errors count
 // only FINAL failures that exhausted the budget.
 //
-// The -json summary (schema vccrepro-loadgen/v2) embeds into the
-// benchreport trajectory via benchreport -loadgen; the process exits
+// The -json summary (schema vccrepro-loadgen/v2) is what
+// `benchreport -validate` checks (schema, a clean run, monotone
+// latency quantiles); served throughput with a measured spread comes
+// from bench/'s served workloads instead. The process exits
 // nonzero on any final transport error, any final non-OK response, or
 // zero completed ops — a run that recovered every fault through
 // retries exits 0, so chaos smoke tests can assert resilience

@@ -209,3 +209,46 @@ func TestScenariosDeterministic(t *testing.T) {
 		})
 	}
 }
+
+// Lifetime values recorded in BENCH_9.json at the horizon below, where
+// the runs are deterministic.
+const (
+	recordedExtension        = 4.724   // wearlevel-rotation extension
+	recordedExtMeasuredFinal = 1.480   // fault-aging ext_measured_final
+	recordedRelErrFinal      = 0.03774 // fault-aging rel_err_final
+)
+
+// TestLifetimeGates holds the lifetime campaigns to their recorded
+// values: lifetime extension may not fall below half of it, the
+// fault-aging curve's error against the analytic model may not grow
+// past twice it plus 0.02, and no verification may fail. A 20000-write
+// horizon is the smallest at which rotation and coset coding extend
+// lifetime well past 1; at tinyParams extension caps at 1.
+func TestLifetimeGates(t *testing.T) {
+	for _, name := range []string{"fault-aging", "wearlevel-rotation"} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			res, err := Run(name, Params{Seed: 1, Shards: 1, Horizon: 20000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := res.Summary
+			if v := s["verify_violations"]; v != 0 {
+				t.Errorf("verify_violations = %v, want 0", v)
+			}
+			switch name {
+			case "fault-aging":
+				if v := s["ext_measured_final"]; !(v >= recordedExtMeasuredFinal/2) {
+					t.Errorf("ext_measured_final = %v, want >= %v", v, recordedExtMeasuredFinal/2)
+				}
+				if v := s["rel_err_final"]; !(v <= 2*recordedRelErrFinal+0.02) {
+					t.Errorf("rel_err_final = %v, want <= %v", v, 2*recordedRelErrFinal+0.02)
+				}
+			case "wearlevel-rotation":
+				if v := s["extension"]; !(v >= recordedExtension/2) {
+					t.Errorf("extension = %v, want >= %v", v, recordedExtension/2)
+				}
+			}
+		})
+	}
+}

@@ -15,9 +15,10 @@ import (
 // fresh-but-reproducible words without timing the PRNG; ReportAllocs
 // pins every variant at zero steady-state allocations per encode.
 //
-// The headline acceptance pair of the fast-path PR is
-// Encode/VCC-Gen(16,256)/MLC/energy+saw: fast vs ref must hold >= 2x
-// (recorded in BENCH_5.json and README.md by cmd/benchreport).
+// The headline pair is Encode/VCC-Gen(16,256)/MLC/energy+saw: fast
+// must stay at least 2x faster than ref. cmd/benchreport -diff holds
+// every /fast result to its /ref sibling's ratio in the committed
+// BENCH_<n>.json, and every zero-allocation result at zero.
 
 // benchCtxRing pre-generates write contexts for a configuration.
 type benchCtxRing struct {

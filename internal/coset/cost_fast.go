@@ -272,8 +272,10 @@ func (sc *SlicedCtx) BindLine(ev *Evaluator, m, pricesPerPartition int) bool {
 	if c.MLCPlane {
 		// A right-digit plane has at most 32 symbols; a wider N is a
 		// malformed context whose (degenerate) semantics belong to the
-		// reference path.
-		if c.N > 32 {
+		// reference path. So is a plane in SLC mode, where the
+		// reference counts SLC bits that the scans' plane layout does
+		// not price (memctrl never builds one).
+		if c.N > 32 || c.Mode != pcm.MLC {
 			return false
 		}
 	} else if c.Mode == pcm.MLC && m%2 != 0 {

@@ -118,9 +118,11 @@ func TestDecodeWordsRoundTripsEncode(t *testing.T) {
 	}
 }
 
-// BenchmarkDecode compares the batched line decode against the per-word
-// reference loop for the engine's codec shapes (the benchreport
-// decode/* pairs run the same kernels).
+// BenchmarkDecode compares the batched line decode (fast) against the
+// per-word reference loop (ref) for the engine's codec shapes, under the
+// same /fast and /ref naming as BenchmarkEncode, so one pairing rule and
+// one zero-allocation gate cover both; ReportAllocs pins each variant at
+// zero allocations per line.
 func BenchmarkDecode(b *testing.B) {
 	const wordsPerLine = 8
 	cases := []struct {
@@ -146,12 +148,14 @@ func BenchmarkDecode(b *testing.B) {
 				aux[i] = rng.Uint64()
 			}
 		}
-		b.Run(tc.name+"/line", func(b *testing.B) {
+		b.Run(tc.name+"/fast", func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				tc.dec.DecodeWords(enc[:], aux[:], left[:], out[:])
 			}
 		})
-		b.Run(tc.name+"/word", func(b *testing.B) {
+		b.Run(tc.name+"/ref", func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for w := 0; w < wordsPerLine; w++ {
 					out[w] = tc.dec.Decode(enc[w], aux[w], left[w])

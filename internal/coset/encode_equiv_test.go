@@ -259,6 +259,33 @@ func TestSlicedFallsBackToReference(t *testing.T) {
 			t.Fatalf("wide-MLCPlane fallback diverged: (%#x,%#x) vs (%#x,%#x)", fe, fa, re, ra)
 		}
 	}
+
+	// An MLCPlane context whose Mode is SLC: the reference counts SLC
+	// bits on the plane, which neither scan's plane layout prices, so
+	// Bind must refuse in every table mode and Encode must match the
+	// reference.
+	gen := NewVCCGenerated(16, 256)
+	for trial := 0; trial < 60; trial++ {
+		ctx := equivCtx(rng, 32, true)
+		ctx.Mode = pcm.SLC
+		data := rng.Uint64() & bitutil.Mask(32)
+		for mode := 0; mode < 3; mode++ {
+			setTableMode(&sc, mode)
+			for _, obj := range equivObjectives {
+				ev := NewEvaluator(ctx, obj)
+				if sc.Bind(ev, 16) {
+					t.Fatalf("table mode %d: Bind should refuse an SLC-mode MLCPlane context", mode)
+				}
+				fe, fa := gen.EncodeSliced(data, ev, &sc)
+				re, ra := gen.EncodeRef(data, NewEvaluator(ctx, obj))
+				if fe != re || fa != ra {
+					t.Fatalf("table mode %d obj %v: SLC-plane fallback diverged: (%#x,%#x) vs (%#x,%#x)",
+						mode, obj, fe, fa, re, ra)
+				}
+			}
+		}
+	}
+	setTableMode(&sc, 0)
 }
 
 // TestRawLiteralEvaluatorSelfHeals pins the raw-literal escape hatch:

@@ -126,6 +126,26 @@ func Percentile(xs []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
+// Quartiles returns the three cut points that divide xs into four
+// groups, by the exclusive method of Python's
+// statistics.quantiles(xs, n=4), the one `bench/run.sh --agree` uses.
+// The middle cut is the median. It panics on fewer than two values.
+func Quartiles(xs []float64) [3]float64 {
+	if len(xs) < 2 {
+		panic("stats: Quartiles of fewer than two values")
+	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	n := len(sorted)
+	var q [3]float64
+	for i := 1; i <= 3; i++ {
+		j := min(max(i*(n+1)/4, 1), n-1)
+		delta := i*(n+1) - j*4
+		q[i-1] = (sorted[j-1]*float64(4-delta) + sorted[j]*float64(delta)) / 4
+	}
+	return q
+}
+
 // CI95 returns the half-width of a 95% confidence interval for the mean
 // of xs, using the normal approximation (z = 1.96). With the small sample
 // counts used in the experiments (5 seeds, as in the paper) this is an

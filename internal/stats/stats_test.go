@@ -106,6 +106,24 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 }
 
+// The expected values are Python's statistics.quantiles(values, n=4),
+// the same fixtures bench/ holds its own copy of the method to.
+func TestQuartilesMatchPython(t *testing.T) {
+	for _, c := range []struct {
+		values []float64
+		want   [3]float64
+	}{
+		{[]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, [3]float64{2.75, 5.5, 8.25}},
+		{[]float64{3.5, 1, 2}, [3]float64{1, 2, 3.5}},
+		{[]float64{10, 20}, [3]float64{7.5, 15, 22.5}},
+		{[]float64{5, 1, 4, 2, 3, 9, 7}, [3]float64{2, 4, 7}},
+	} {
+		if got := Quartiles(c.values); got != c.want || got[1] != Percentile(c.values, 50) {
+			t.Errorf("Quartiles(%v) = %v, want %v around the median", c.values, got, c.want)
+		}
+	}
+}
+
 func TestCI95(t *testing.T) {
 	if CI95([]float64{1}) != 0 {
 		t.Error("CI of one sample should be 0")
