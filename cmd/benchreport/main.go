@@ -571,8 +571,8 @@ func diffRuns(base, fresh *Runs, bounds []bound) []string {
 }
 
 func main() {
-	codecPath := flag.String("codec", "", "`go test -bench` output holding the codec results")
-	runsPath := flag.String("runs", "", "JSON lines recorded by `bash bench/run.sh --record`")
+	codecPath := flag.String("codec", "", "output of go test -bench holding the codec results")
+	runsPath := flag.String("runs", "", "JSON lines recorded by bash bench/run.sh --record")
 	out := flag.String("out", "", "path of the document -codec and -runs write")
 	diffBase := flag.String("diff", "", "baseline document to gate the document named by the argument against")
 	validatePath := flag.String("validate", "", "check a bench document or a cmd/loadgen summary")
