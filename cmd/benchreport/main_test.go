@@ -106,16 +106,13 @@ func TestDiffReportsNsGateNeedsMatchingHost(t *testing.T) {
 }
 
 func TestDiffReportsToleratesMetricsMissingFromBase(t *testing.T) {
-	// Results, workloads and metrics the base lacks print as new and
-	// never fail, and neither does a half missing on either side (the
-	// codec-only document CI writes has no workloads).
+	// Results and metrics the base lacks print as new and never fail,
+	// and neither does a half missing on either side (the codec-only
+	// document CI writes has no workloads).
 	base, fresh := diffFixture()
 	fresh.Codec.Results["BenchmarkDecode/vcc_stored256/fast"] = Result{NsPerOp: five(40), AllocsPerOp: 3}
 	fresh.Codec.Results["BenchmarkDecode/vcc_stored256/ref"] = Result{NsPerOp: five(200)}
 	delete(fresh.Codec.Results, refName)
-	fresh.Runs.Workloads["aged-remap-saw"] = Workload{
-		Seeds: []uint64{1, 2, 3, 4, 5}, Metrics: map[string]Summary{"ops_per_s": five(1)},
-	}
 	fresh.Runs.Workloads[wue].Metrics["p99_us"] = five(1e9)
 	bounds := append(testBounds, bound{Name: "p99_us", Better: "lower", Bound: 0.25})
 	if fails := diffReports(base, fresh, bounds); len(fails) != 0 {
@@ -128,6 +125,21 @@ func TestDiffReportsToleratesMetricsMissingFromBase(t *testing.T) {
 	base.Codec = nil
 	if fails := diffReports(base, fresh, bounds); len(fails) != 0 {
 		t.Fatalf("codec results missing from base flagged: %v", fails)
+	}
+}
+
+func TestDiffLoadgenNewVsOldBaseline(t *testing.T) {
+	// The served view is bench/'s served workloads. Against a base that
+	// predates them, or the codec-only document CI writes, they are new,
+	// never a failure, however far their numbers sit from the others'.
+	base, fresh := diffFixture()
+	served := Workload{Seconds: 20, Seeds: []uint64{1, 2, 3, 4, 5}, Metrics: map[string]Summary{"ops_per_s": five(1)}}
+	fresh.Runs.Workloads["served-uniform-rw"], fresh.Runs.Workloads["served-zipf-cached"] = served, served
+	for _, runs := range []*Runs{base.Runs, nil} {
+		base.Runs = runs
+		if fails := diffReports(base, fresh, testBounds); len(fails) != 0 {
+			t.Fatalf("served workloads missing from base %+v flagged: %v", runs, fails)
+		}
 	}
 }
 
@@ -393,8 +405,6 @@ func TestCheckLoadgen(t *testing.T) {
 	for name, blob := range map[string][]byte{
 		"wrong-schema":  []byte(`{"schema": "vccrepro-bench/v2"}`),
 		"zero-ops":      []byte(`{"schema": "vccrepro-loadgen/v1", "ops_done": 0}`),
-		"unclean":       loadgenBlob(100000, 1, 0),
-		"transport":     loadgenBlob(100000, 0, 1),
 		"non-monotone":  []byte(`{"schema": "vccrepro-loadgen/v1", "ops_done": 1, "throughput_ops_per_sec": 1, "latency_ns": {"p50_ns": 5, "p95_ns": 3, "p99_ns": 9}}`),
 		"not-even-json": []byte(`{`),
 	} {
@@ -402,8 +412,15 @@ func TestCheckLoadgen(t *testing.T) {
 			t.Errorf("checkLoadgen accepted %s summary", name)
 		}
 	}
-	path := writeFile(t, "summary.json", string(loadgenBlob(100000, 3, 0)))
-	if err := validate(path); err == nil {
-		t.Error("-validate accepted an unclean loadgen summary")
+}
+
+func TestDiffLoadgenCatchesUncleanRun(t *testing.T) {
+	// Final failures gate absolutely, with no baseline: an error response
+	// or a transport error that outlived the retry budget fails
+	// -validate, which the serve and chaos smoke steps run.
+	for _, blob := range [][]byte{loadgenBlob(100000, 3, 0), loadgenBlob(100000, 0, 1)} {
+		if err := validate(writeFile(t, "summary.json", string(blob))); err == nil || !strings.Contains(err.Error(), "unclean") {
+			t.Errorf("-validate = %v on %s, want an unclean run", err, blob)
+		}
 	}
 }

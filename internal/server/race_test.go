@@ -173,7 +173,8 @@ func TestCloseGivesTypedShutdownError(t *testing.T) {
 }
 
 // TestCloseRacesInFlight closes the server while clients are mid-burst
-// and requires every response to be either OK or typed shutdown.
+// and requires every response to be either OK or typed shutdown. It
+// waits for every client's hello, so Close races the burst, not the dial.
 func TestCloseRacesInFlight(t *testing.T) {
 	mem, err := vcc.NewShardedMemory(vcc.ShardedMemoryConfig{Lines: 512, Shards: 4, Seed: 17})
 	if err != nil {
@@ -182,19 +183,20 @@ func TestCloseRacesInFlight(t *testing.T) {
 	defer mem.Close()
 	srv, addr := startServer(t, Config{Mem: mem, Tenants: 2})
 
-	var wg sync.WaitGroup
+	var wg, ready sync.WaitGroup
 	errs := make(chan error, 4)
 	for c := 0; c < 4; c++ {
 		wg.Add(1)
+		ready.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			cl, err := Dial(addr)
-			if err != nil {
-				errs <- err
-				return
+			if err == nil {
+				defer cl.Close()
+				_, err = cl.Hello(c % 2)
 			}
-			defer cl.Close()
-			if _, err := cl.Hello(c % 2); err != nil {
+			ready.Done()
+			if err != nil {
 				errs <- err
 				return
 			}
@@ -213,6 +215,7 @@ func TestCloseRacesInFlight(t *testing.T) {
 			}
 		}(c)
 	}
+	ready.Wait()
 	srv.Close()
 	wg.Wait()
 	close(errs)
