@@ -32,22 +32,6 @@ func SubBlock(x uint64, j, m int) uint64 {
 	return (x >> uint(j*m)) & Mask(m)
 }
 
-// SubBlocksInto slices x into len(dst) consecutive m-bit sub-blocks,
-// least significant first: dst[j] = SubBlock(x, j, m). One mask is built
-// and the shift advances incrementally, so slicing a whole write context
-// (the coset encode fast path does this four times per word) costs one
-// shift+AND per partition. len(dst)*m must not exceed 64.
-func SubBlocksInto(dst []uint64, x uint64, m int) {
-	if len(dst)*m > 64 {
-		panic("bitutil: SubBlocksInto slices past bit 64")
-	}
-	mk := Mask(m)
-	for j := range dst {
-		dst[j] = x & mk
-		x >>= uint(m)
-	}
-}
-
 // SetSubBlock returns x with partition j (width m) replaced by v. Bits of
 // v above m are ignored.
 func SetSubBlock(x uint64, j, m int, v uint64) uint64 {

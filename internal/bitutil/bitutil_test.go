@@ -293,32 +293,3 @@ func TestOnesCountMatchesStdlib(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSubBlocksInto(t *testing.T) {
-	if err := quick.Check(func(x uint64) bool {
-		for _, m := range []int{1, 4, 8, 16, 32, 64} {
-			dst := make([]uint64, 64/m)
-			SubBlocksInto(dst, x, m)
-			for j := range dst {
-				if dst[j] != SubBlock(x, j, m) {
-					return false
-				}
-			}
-		}
-		// Partial coverage: fewer blocks than fit.
-		dst := make([]uint64, 2)
-		SubBlocksInto(dst, x, 16)
-		return dst[0] == SubBlock(x, 0, 16) && dst[1] == SubBlock(x, 1, 16)
-	}, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSubBlocksIntoPanicsPast64(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for 5*16 > 64 bits")
-		}
-	}()
-	SubBlocksInto(make([]uint64, 5), 1, 16)
-}

@@ -87,10 +87,10 @@ func (c *FNW) EncodeRef(data uint64, ev *Evaluator) (uint64, uint64) {
 // historical selection rule compares data cost alone), so the decision
 // rule is exactly EncodeRef's, on bit-identical Pairs.
 func (c *FNW) EncodeSliced(data uint64, ev *Evaluator, sc *SlicedCtx) (uint64, uint64) {
-	// The bind hint is 2: FNW asks each partition for exactly one
-	// candidate pair, far below the nibble-table construction threshold,
-	// so Bind stays cheap and pricing runs the direct path.
-	if ev.Ctx.N != c.n || !sc.BindFor(ev, c.k, 2) {
+	// FNW binds as a one-kernel search: each partition is asked for
+	// exactly one candidate pair, far below the nibble-table construction
+	// threshold, so Bind stays cheap and pricing runs the direct path.
+	if ev.Ctx.N != c.n || !sc.BindFor(ev, c.k, 1) {
 		return c.EncodeRef(data, ev)
 	}
 	p := c.n / c.k

@@ -143,20 +143,20 @@ func refEncodeFunc(c Codec) encodeFunc {
 	}
 }
 
-// BenchmarkSlicedCtxBind isolates the per-word slicing overhead the
+// BenchmarkSlicedCtxBind isolates the per-word bind overhead the
 // controller pays before any candidate is priced: the direct variant is
-// slicing alone (no tables, the FNW-style bind), the tables variant adds
-// nibble-count table construction with the VCC-Gen(16,256) query-volume
-// hint — the full per-word rebind cost of the headline encode path.
+// the bind alone (no tables, the FNW-style bind), the tables variant adds
+// nibble-count table construction for VCC-Gen(16,256)'s 64 kernels —
+// the full per-word rebind cost of the table-scan encode path.
 // ReportAllocs pins both at zero: the tables are fixed arrays owned by
 // the SlicedCtx, rebuilt in place on every rebind.
 func BenchmarkSlicedCtxBind(b *testing.B) {
 	variants := []struct {
-		name string
-		hint int
+		name    string
+		kernels int
 	}{
 		{"direct", 0},
-		{"tables", 2 * 256}, // 2 orientations x r=256 kernel prices per partition
+		{"tables", 64},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
@@ -168,11 +168,11 @@ func BenchmarkSlicedCtxBind(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				k := i & (len(ring.ctxs) - 1)
 				ev.Reset(ring.ctxs[k], ObjEnergySAW)
-				if !sc.BindFor(ev, 16, v.hint) {
+				if !sc.BindFor(ev, 16, v.kernels) {
 					b.Fatal("bind failed")
 				}
 			}
-			if v.hint > 0 && !sc.tabOK {
+			if v.kernels > 0 && !sc.tabOK {
 				b.Fatal("tables variant built no tables")
 			}
 		})

@@ -8,11 +8,11 @@ package coset
 // Algorithm 1 enumerates its r kernels x p partitions x 2 complements.
 // The reference Evaluator nevertheless re-derives the full-word plane
 // merge, the symbol-mask expansion and the stuck-cell overlay on every
-// Part call. SlicedCtx instead slices the context once per write —
-// per-partition sub-blocks of the old word and stuck masks, the
+// Part call. SlicedCtx instead binds the context once per write — the
+// old word, stuck mask and stuck values restricted to the plane, the
 // spread-odd merged-left contribution, and a 2x2 aux-bit cost table —
 // after which pricing one m-bit candidate value is a handful of
-// sub-word bit operations.
+// sub-word bit operations on partition j's sub-block of those words.
 //
 // Bit-identity with the reference path is a hard invariant (enforced by
 // TestFastEncodeMatchesReference and FuzzEncodeEquivalence): PartCost
@@ -39,8 +39,8 @@ const maxNibGroups = 64
 
 // nibTableMinPrices is the amortization threshold of BindFor: nibble
 // tables are built only under ObjEnergySAW, and only when the codec
-// expects at least this many PartCost prices per partition per 16-entry
-// group. Every other objective, and energy+SAW below the threshold, is
+// expects at least this many PartCost prices (two per kernel) per
+// partition per 16-entry group. Every other objective, and energy+SAW below the threshold, is
 // priced by the table-free lane scan (lanes.go), which measures faster
 // there: the tables pay for themselves only when the lazy scan's prune
 // after the first partition skips most kernels' remaining work, which
@@ -49,11 +49,11 @@ const maxNibGroups = 64
 // r=16 ROM does not, and FNW (2 prices) never builds them.
 const nibTableMinPrices = 16
 
-// SlicedCtx is a write context pre-sliced into partitions. A memory
-// controller owns one and rebinds it per word (Bind allocates nothing),
-// reusing the slice arrays across the eight words of a line and across
-// lines; codecs also embed one as a fallback so the plain Codec.Encode
-// entry point gets the fast path too.
+// SlicedCtx is a write context bound for pricing partition by partition.
+// A memory controller owns one and rebinds it per word (Bind allocates
+// nothing), reusing its tables across the eight words of a line and
+// across lines; codecs also embed one as a fallback so the plain
+// Codec.Encode entry point gets the fast path too.
 //
 // The zero value is unbound; Bind must succeed before PartCost/AuxBit
 // are used.
@@ -76,19 +76,11 @@ type SlicedCtx struct {
 	DisableTables bool
 	ForceTables   bool
 
-	// Per-partition slices. For MLC-plane contexts slot j holds the
-	// 2m-bit word-coordinate sub-block covering partition j's symbols
-	// (and leftSpread its spread-odd left digits); otherwise the m-bit
-	// plane sub-block.
-	old        [maxSlices]uint64
-	stuckMask  [maxSlices]uint64
-	stuckVal   [maxSlices]uint64
-	leftSpread [maxSlices]uint64
-
-	// The same context unsliced, for the lane scan: the old word, the
-	// stuck mask, the stuck values under it and, on the MLC plane, the
-	// spread-odd left digits, all restricted to the plane's bits in word
-	// coordinates (wordMask).
+	// The write context: the old word, the stuck mask, the stuck values
+	// under it and, on the MLC plane, the spread-odd left digits, all
+	// restricted to the plane's bits in word coordinates (wordMask). The
+	// lane scan reads them whole; direct pricing and the nibble tables
+	// read partition j's sub-block (part).
 	wOld, wStuckMask, wStuckVal, wLeft uint64
 
 	// auxTab[old][val] is the cost of writing an auxiliary bit with
@@ -118,20 +110,31 @@ type SlicedCtx struct {
 
 	// Lane-scan geometry, fixed by BindLine (see lanes.go). lane is the
 	// width L of one partition in word coordinates (m, or 2m on the MLC
-	// plane), or 0 when the lane scan cannot price the geometry.
-	// laneOne has bit 0 of each of the p lanes set and pop counts bits
-	// per lane. A cell's change flag is (x | x>>cellShift) & cellMask:
+	// plane), or 0 when the lane scan cannot price the geometry; cells
+	// is the number of cells in it. pop counts bits per lane, sel
+	// compares and selects lanes, and foldFrom starts laneTotal at the
+	// lane width. A cell's change flag is (x | x>>cellShift) & cellMask:
 	// every bit on SLC, a symbol's right-digit bit with its left digit
 	// folded in on MLC. flipMask is the set of bits a complemented
 	// candidate flips (the plane's bits, or their right digits on the MLC
 	// plane) and wordMask the plane's bits in word coordinates.
 	lane      uint
-	laneOne   uint64
+	cells     int
 	pop       lanePop
+	sel       laneSel
+	foldFrom  int
 	cellMask  uint64
 	cellShift uint
 	flipMask  uint64
 	wordMask  uint64
+
+	// Integer energy keys, chosen by bindKeys: when intKeys is set the
+	// lane scan prices the energy objectives with laneScanKeys, the
+	// coefficients as the integers qHi and qLo shifted left by keyE (the
+	// energy field of a key) and the SAW count shifted left by keyS.
+	intKeys    bool
+	qHi, qLo   uint64
+	keyE, keyS uint
 
 	// Line-scoped bind state. lineKey fingerprints every input of the
 	// word-invariant bind layer (geometry validation, the 2x2 aux-bit
@@ -167,7 +170,7 @@ type SlicedCtx struct {
 	etab     [64 * 64]float64
 }
 
-// Bind slices ev's write context for kernel width m and reports whether
+// Bind binds ev's write context for kernel width m and reports whether
 // the sliced fast path supports this configuration. It returns false —
 // and the caller must fall back to the reference search — when a
 // partition boundary would split an MLC symbol (full-word MLC with odd
@@ -180,9 +183,8 @@ func (sc *SlicedCtx) Bind(ev *Evaluator, m int) bool {
 
 // bindKey fingerprints the word-invariant inputs of a bind: the plane
 // geometry, objective, cell mode, energy model, the table-mode toggles
-// and the amortization hint. Everything else a bind consumes (the old
-// word, stuck cells, left digits, old aux) is per-word and lives in the
-// slicing layer.
+// and the codec's kernel count. Everything else a bind consumes (the old
+// word, stuck cells, left digits, old aux) is per-word.
 type bindKey struct {
 	n, m           int
 	obj            Objective
@@ -190,22 +192,23 @@ type bindKey struct {
 	mlcPlane       bool
 	energy         pcm.EnergyModel
 	force, disable bool
-	hint           int
+	kernels        int
 }
 
-// BindFor is Bind with an amortization hint: pricesPerPartition is the
-// number of PartCost queries the codec expects to issue against each
-// partition before the next rebind. Under energy+SAW, when the hint
-// clears the per-group construction threshold (or ForceTables is set),
-// BindFor additionally builds the per-partition nibble count tables so
-// each query collapses into ceil(m/4) table lookups; otherwise queries
-// run the direct per-symbol path and construction costs nothing.
+// BindFor is Bind for a codec that searches kernels kernels, each
+// pricing both orientations of every partition: 2*kernels PartCost
+// queries per partition before the next rebind, and a kernel index of
+// log2(kernels) aux bits. Under energy+SAW, when those queries clear the
+// per-group construction threshold (or ForceTables is set), BindFor
+// additionally builds the per-partition nibble count tables so each
+// query collapses into ceil(m/4) table lookups; otherwise queries run
+// the direct per-symbol path and construction costs nothing.
 //
 // BindFor is line-scoped: when the configuration fingerprint matches
 // the previous bind — the common case for the 8 words of a cache line,
 // and for consecutive lines of a steady workload — the word-invariant
-// layer (BindLine) is skipped and only the new word is sliced.
-func (sc *SlicedCtx) BindFor(ev *Evaluator, m, pricesPerPartition int) bool {
+// layer (BindLine) is skipped and only the new word is bound.
+func (sc *SlicedCtx) BindFor(ev *Evaluator, m, kernels int) bool {
 	if ev.planeMask == 0 {
 		// Raw-literal evaluator: rebind so defaults (plane width, energy
 		// model) are applied before the context is copied into slices —
@@ -215,33 +218,19 @@ func (sc *SlicedCtx) BindFor(ev *Evaluator, m, pricesPerPartition int) bool {
 	}
 	c := &ev.Ctx
 	if !sc.lineOK || (bindKey{c.N, m, ev.Obj, c.Mode, c.MLCPlane, c.Energy,
-		sc.ForceTables, sc.DisableTables, pricesPerPartition}) != sc.lineKey {
-		if !sc.BindLine(ev, m, pricesPerPartition) {
+		sc.ForceTables, sc.DisableTables, kernels}) != sc.lineKey {
+		if !sc.BindLine(ev, m, kernels) {
 			return false
 		}
 	} else {
 		sc.fastRebinds++
 	}
-	p := sc.p
 	sc.oldAux = c.OldAux
-	if sc.mlcPlane {
-		w := 2 * m
-		bitutil.SubBlocksInto(sc.old[:p], c.OldWord, w)
-		bitutil.SubBlocksInto(sc.stuckMask[:p], c.StuckMask, w)
-		bitutil.SubBlocksInto(sc.stuckVal[:p], c.StuckVal, w)
-		for j := 0; j < p; j++ {
-			sc.leftSpread[j] = bitutil.SpreadOdd(bitutil.SubBlock(c.NewLeft, j, m))
-		}
-	} else {
-		bitutil.SubBlocksInto(sc.old[:p], c.OldWord, m)
-		bitutil.SubBlocksInto(sc.stuckMask[:p], c.StuckMask, m)
-		bitutil.SubBlocksInto(sc.stuckVal[:p], c.StuckVal, m)
-	}
 	sc.wOld = c.OldWord & sc.wordMask
 	sc.wStuckMask = c.StuckMask & sc.wordMask
 	sc.wStuckVal = c.StuckVal & sc.wStuckMask
 	if sc.mlcPlane {
-		sc.wLeft = bitutil.SpreadOdd(c.NewLeft) & sc.wordMask
+		sc.wLeft = ev.leftSpread & sc.wordMask
 	}
 	sc.tabOK = false
 	if sc.wantTab {
@@ -253,14 +242,15 @@ func (sc *SlicedCtx) BindFor(ev *Evaluator, m, pricesPerPartition int) bool {
 // BindLine performs the word-invariant layer of a bind: geometry
 // validation, the 2x2 aux-bit cost table (aux-bit cost depends only on
 // mode/energy/objective, never on the word), nibble-group and lane
-// layout, the energy table, and the table-amortization decision. It
-// reports whether the sliced fast path supports this configuration, and
-// on success records the fingerprint so subsequent same-configuration
-// BindFor calls skip straight to word slicing. A memory controller may
+// layout, the energy table, the table-amortization decision, and the
+// lane scan's choice between integer and float energy pricing
+// (bindKeys). It reports whether the sliced fast path supports this
+// configuration, and on success records the fingerprint so subsequent
+// same-configuration BindFor calls skip straight to the word. A memory controller may
 // call it once per line; BindFor calls it automatically on any
 // fingerprint miss, so the explicit call is an optimization, never a
 // correctness requirement.
-func (sc *SlicedCtx) BindLine(ev *Evaluator, m, pricesPerPartition int) bool {
+func (sc *SlicedCtx) BindLine(ev *Evaluator, m, kernels int) bool {
 	if ev.planeMask == 0 {
 		ev.Reset(ev.Ctx, ev.Obj)
 	}
@@ -293,7 +283,7 @@ func (sc *SlicedCtx) BindLine(ev *Evaluator, m, pricesPerPartition int) bool {
 	sc.groups = bitutil.NibbleGroups(m)
 	sc.lastNibMask = bitutil.Mask(m - 4*(sc.groups-1))
 	sc.wantTab = sc.obj == ObjEnergySAW && !sc.DisableTables &&
-		(sc.ForceTables || pricesPerPartition >= nibTableMinPrices*sc.groups)
+		(sc.ForceTables || 2*kernels >= nibTableMinPrices*sc.groups)
 	sc.bindLanes()
 	cHi, cLo := sc.energy.MLCHighPJ, sc.energy.MLCLowPJ
 	if sc.mode != pcm.MLC {
@@ -312,21 +302,35 @@ func (sc *SlicedCtx) BindLine(ev *Evaluator, m, pricesPerPartition int) bool {
 	}
 	const posInf = 0x7FF0000000000000 // IEEE bits of +Inf
 	sc.nonneg = math.Float64bits(sc.cHi) < posInf && math.Float64bits(sc.cLo) < posInf
+	sc.bindKeys(cHi, cLo, log2(kernels))
 	sc.lineKey = bindKey{c.N, m, ev.Obj, c.Mode, c.MLCPlane, c.Energy,
-		sc.ForceTables, sc.DisableTables, pricesPerPartition}
+		sc.ForceTables, sc.DisableTables, kernels}
 	sc.lineOK = true
 	return true
+}
+
+// part returns partition j's sub-block of w, one of the bound context
+// words: m bits, or on the MLC plane the 2m word-coordinate bits of the
+// partition's symbols.
+func (sc *SlicedCtx) part(w uint64, j int) uint64 {
+	if sc.mlcPlane {
+		return bitutil.SubBlock(w, j, 2*sc.m)
+	}
+	return bitutil.SubBlock(w, j, sc.m)
 }
 
 // buildNibbleTables fills nibTab for the bound context. Each entry is
 // computed with the same primitives the direct path prices with
 // (pcm.MLCWordCounts / pcm.SLCWordCounts, bitutil.SymbolCount) applied
-// to the group's sub-byte of the bound slices, so the counts are exact
-// integers by construction, not an approximation of the direct path.
+// to the group's sub-byte of the partition's sub-blocks, so the counts
+// are exact integers by construction, not an approximation of the
+// direct path.
 func (sc *SlicedCtx) buildNibbleTables() {
 	var cnt [16]uint32
 	t := 0
 	for j := 0; j < sc.p; j++ {
+		old, sm, sv := sc.part(sc.wOld, j), sc.part(sc.wStuckMask, j), sc.part(sc.wStuckVal, j)
+		left := sc.part(sc.wLeft, j)
 		for g := 0; g < sc.groups; g++ {
 			// Each entry is packed with its complement-orientation
 			// partner. All groups complement against 0xF except a final
@@ -337,9 +341,9 @@ func (sc *SlicedCtx) buildNibbleTables() {
 			}
 			if gmask == 0xF && !sc.mlcPlane {
 				sh := uint(4 * g)
-				oldN := (sc.old[j] >> sh) & 0xF
-				smN := (sc.stuckMask[j] >> sh) & 0xF
-				svN := (sc.stuckVal[j] >> sh) & 0xF
+				oldN := (old >> sh) & 0xF
+				smN := (sm >> sh) & 0xF
+				svN := (sv >> sh) & 0xF
 				stuck := svN & smN
 				out := sc.nibTab[t : t+16]
 				if sc.mode == pcm.MLC {
@@ -439,13 +443,13 @@ func (sc *SlicedCtx) buildNibbleTables() {
 				// replace 16 byte-wide count evaluations plus the
 				// complement-partner gather.
 				sh := uint(8 * g)
-				oldB := (sc.old[j] >> sh) & 0xFF
-				smB := (sc.stuckMask[j] >> sh) & 0xFF
-				svB := (sc.stuckVal[j] >> sh) & 0xFF
+				oldB := (old >> sh) & 0xFF
+				smB := (sm >> sh) & 0xFF
+				svB := (sv >> sh) & 0xFF
 				stuck := svB & smB
 				// Desired bytes for all-right-digits-0 / all-1; their
 				// per-symbol changed/high/low/SAW masks on even bits.
-				d0 := (sc.leftSpread[j] >> sh) & 0xFF
+				d0 := (left >> sh) & 0xFF
 				d1 := d0 | 0x55
 				st0 := (d0 &^ smB) | stuck
 				st1 := (d1 &^ smB) | stuck
@@ -488,10 +492,10 @@ func (sc *SlicedCtx) buildNibbleTables() {
 				// rare tail, priced entrywise exactly as PartCost's
 				// desired-word construction does.
 				sh := uint(8 * g)
-				oldB := (sc.old[j] >> sh) & 0xFF
-				smB := (sc.stuckMask[j] >> sh) & 0xFF
-				svB := (sc.stuckVal[j] >> sh) & 0xFF
-				leftB := (sc.leftSpread[j] >> sh) & 0xFF
+				oldB := (old >> sh) & 0xFF
+				smB := (sm >> sh) & 0xFF
+				svB := (sv >> sh) & 0xFF
+				leftB := (left >> sh) & 0xFF
 				for nib := uint64(0); nib < 16; nib++ {
 					desired := leftB | bitutil.SpreadEvenNibble(nib)
 					stored := (desired &^ smB) | (svB & smB)
@@ -505,9 +509,9 @@ func (sc *SlicedCtx) buildNibbleTables() {
 				// boundaries are 4-bit aligned and symbols 2-bit
 				// aligned, so no symbol is ever split across groups.
 				sh := uint(4 * g)
-				oldN := (sc.old[j] >> sh) & 0xF
-				smN := (sc.stuckMask[j] >> sh) & 0xF
-				svN := (sc.stuckVal[j] >> sh) & 0xF
+				oldN := (old >> sh) & 0xF
+				smN := (sm >> sh) & 0xF
+				svN := (sv >> sh) & 0xF
 				for nib := uint64(0); nib < 16; nib++ {
 					stored := (nib &^ smN) | (svN & smN)
 					hi, lo := pcm.MLCWordCounts(oldN, stored)
@@ -518,9 +522,9 @@ func (sc *SlicedCtx) buildNibbleTables() {
 				// SLC: group g covers four independent cells. high/low
 				// slots carry SET/RESET counts.
 				sh := uint(4 * g)
-				oldN := (sc.old[j] >> sh) & 0xF
-				smN := (sc.stuckMask[j] >> sh) & 0xF
-				svN := (sc.stuckVal[j] >> sh) & 0xF
+				oldN := (old >> sh) & 0xF
+				smN := (sm >> sh) & 0xF
+				svN := (sv >> sh) & 0xF
 				for nib := uint64(0); nib < 16; nib++ {
 					stored := (nib &^ smN) | (svN & smN)
 					sets, resets := pcm.SLCWordCounts(oldN, stored)
@@ -599,45 +603,45 @@ func (sc *SlicedCtx) PartCostPair(j int, v uint64) (Pair, Pair) {
 	return sc.PartCost(j, v), sc.PartCost(j, v^bitutil.Mask(sc.m))
 }
 
-// partCostDirect is the table-free pricing path: the per-slice
-// mask/popcount pipeline the tables were derived from.
+// partCostDirect is the table-free pricing path: the per-partition
+// mask/popcount pipeline the tables were derived from, on partition j's
+// sub-blocks of the bound words.
 func (sc *SlicedCtx) partCostDirect(j int, v uint64) Pair {
-	var desired uint64
+	desired := v
 	if sc.mlcPlane {
-		desired = sc.leftSpread[j] | bitutil.SpreadEven(v)
-	} else {
-		desired = v
+		desired = sc.part(sc.wLeft, j) | bitutil.SpreadEven(v)
 	}
-	sm := sc.stuckMask[j]
-	stored := (desired &^ sm) | (sc.stuckVal[j] & sm)
+	old, sm, sv := sc.part(sc.wOld, j), sc.part(sc.wStuckMask, j), sc.part(sc.wStuckVal, j)
+	stored := desired&^sm | sv
 	switch sc.obj {
 	case ObjFlips:
 		if sc.mode == pcm.MLC {
-			return Pair{float64(bitutil.SymbolCount(sc.old[j], stored)), 0}
+			return Pair{float64(bitutil.SymbolCount(old, stored)), 0}
 		}
-		return Pair{float64(bits.OnesCount64(sc.old[j] ^ stored)), 0}
+		return Pair{float64(bits.OnesCount64(old ^ stored)), 0}
 	case ObjEnergySAW:
-		return Pair{sc.sliceEnergy(j, stored), float64(sc.sliceSAW(j, desired))}
+		return Pair{sc.partEnergy(old, stored), float64(sc.partSAW(desired^sv, sm))}
 	case ObjSAWEnergy:
-		return Pair{float64(sc.sliceSAW(j, desired)), sc.sliceEnergy(j, stored)}
+		return Pair{float64(sc.partSAW(desired^sv, sm)), sc.partEnergy(old, stored)}
 	default:
 		panic("coset: unknown objective")
 	}
 }
 
-func (sc *SlicedCtx) sliceEnergy(j int, stored uint64) float64 {
+func (sc *SlicedCtx) partEnergy(old, stored uint64) float64 {
 	if sc.mode == pcm.MLC {
-		return sc.energy.MLCWordEnergyAll(sc.old[j], stored)
+		return sc.energy.MLCWordEnergyAll(old, stored)
 	}
-	return sc.energy.SLCWordEnergy(sc.old[j], stored)
+	return sc.energy.SLCWordEnergy(old, stored)
 }
 
-func (sc *SlicedCtx) sliceSAW(j int, desired uint64) int {
-	wrong := (desired ^ sc.stuckVal[j]) & sc.stuckMask[j]
+// partSAW counts the stuck cells under sm whose desired value differs
+// from the stuck one in diff.
+func (sc *SlicedCtx) partSAW(diff, sm uint64) int {
 	if sc.mode == pcm.MLC {
-		return bitutil.SymbolCount(wrong, 0)
+		return bitutil.SymbolCount(diff&sm, 0)
 	}
-	return bits.OnesCount64(wrong)
+	return bits.OnesCount64(diff & sm)
 }
 
 // auxBitCost mirrors Evaluator.AuxBit for one (old bit, new bit) pair.

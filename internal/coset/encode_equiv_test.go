@@ -1,6 +1,7 @@
 package coset
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/bitutil"
@@ -72,8 +73,10 @@ func referenceEncode(c Codec, data uint64, ev *Evaluator) (uint64, uint64) {
 
 // equivCtx derives a randomized write context. Stuck cells arrive in
 // both sparse-bit (SLC) and whole-symbol (MLC) shapes, old aux bits and
-// the left plane are random, and occasionally a custom (non-default)
-// energy model replaces Table I's to exercise arbitrary float costs.
+// the left plane are random, and occasionally another energy model
+// replaces Table I's: arbitrary float costs, a negative coefficient, or
+// one of two integral models on either side of the lane scan's
+// integer-key rule.
 func equivCtx(rng *prng.Rand, n int, mlcPlane bool) Ctx {
 	mode := pcm.MLC
 	if !mlcPlane && rng.Bool() {
@@ -108,6 +111,10 @@ func equivCtx(rng *prng.Rand, n int, mlcPlane bool) Ctx {
 		ctx.Energy = customEnergy
 	case 1:
 		ctx.Energy = negativeEnergy
+	case 2:
+		ctx.Energy = lowHeavyEnergy
+	case 3:
+		ctx.Energy = wideEnergy
 	}
 	return ctx
 }
@@ -117,6 +124,13 @@ func equivCtx(rng *prng.Rand, n int, mlcPlane bool) Ctx {
 // scan (its prune bounds assume nonnegative energies) and the scans'
 // branch-free orientation select, so those contexts run the lane scan's
 // exact Pair.Less select.
+//
+// lowHeavyEnergy and wideEnergy are integral. lowHeavyEnergy prices a
+// low-drive program above a high-drive one and has a zero coefficient
+// per cell mode; its keys fit every lane of 16 bits or more, so those
+// geometries take the lane scan's integer arm while 8-bit lanes keep the
+// float arm. wideEnergy's 2^26 pJ overflows both key layouts on every
+// lane of at most 32 bits, so it always takes the float arm.
 var (
 	customEnergy = pcm.EnergyModel{
 		MLCHighPJ: 7.25, MLCLowPJ: 1.1,
@@ -126,7 +140,62 @@ var (
 		MLCHighPJ: 7.25, MLCLowPJ: -1.5,
 		SLCSetPJ: 3.3, SLCResetPJ: -2.0,
 	}
+	lowHeavyEnergy = pcm.EnergyModel{
+		MLCHighPJ: 0, MLCLowPJ: 9,
+		SLCSetPJ: 6, SLCResetPJ: 0,
+	}
+	wideEnergy = pcm.EnergyModel{
+		MLCHighPJ: 1 << 26, MLCLowPJ: 3,
+		SLCSetPJ: 5, SLCResetPJ: 1 << 26,
+	}
 )
+
+// TestLaneScanEnergyArm pins which arm the lane scan prices the energy
+// objectives with, per energy model: BindLine takes the integer keys for
+// Table I's whole-picojoule MLC model and keeps the float arm for the SLC
+// model's fractional 19.2 pJ, a -0 coefficient, an infinite or NaN one,
+// a negative integer, and an integer too large for the keys. Every case
+// must also encode exactly as EncodeRef.
+func TestLaneScanEnergyArm(t *testing.T) {
+	cases := []struct {
+		name    string
+		mode    pcm.CellMode
+		energy  pcm.EnergyModel
+		integer bool
+	}{
+		{"MLC default", pcm.MLC, pcm.DefaultEnergy, true},
+		{"SLC default", pcm.SLC, pcm.DefaultEnergy, false},
+		{"negative zero", pcm.MLC, pcm.EnergyModel{MLCHighPJ: 40, MLCLowPJ: math.Copysign(0, -1)}, false},
+		{"+Inf", pcm.MLC, pcm.EnergyModel{MLCHighPJ: math.Inf(1), MLCLowPJ: 4}, false},
+		{"NaN", pcm.MLC, pcm.EnergyModel{MLCHighPJ: 40, MLCLowPJ: math.NaN()}, false},
+		{"negative integer", pcm.MLC, pcm.EnergyModel{MLCHighPJ: 40, MLCLowPJ: -4}, false},
+		{"oversized integer", pcm.MLC, pcm.EnergyModel{MLCHighPJ: 1 << 26, MLCLowPJ: 4}, false},
+	}
+	codec := NewVCCStored(64, 16, 256, 1)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := prng.New(0xA53)
+			var sc SlicedCtx
+			for _, obj := range []Objective{ObjEnergySAW, ObjSAWEnergy} {
+				for trial := 0; trial < 200; trial++ {
+					ctx := equivCtx(rng, 64, false)
+					ctx.Mode, ctx.Energy = tc.mode, tc.energy
+					data := rng.Uint64()
+					fe, fa := codec.EncodeSliced(data, NewEvaluator(ctx, obj), &sc)
+					if sc.lane == 0 || sc.intKeys != tc.integer {
+						t.Fatalf("obj %v: lane %d intKeys %v, want the integer arm %v",
+							obj, sc.lane, sc.intKeys, tc.integer)
+					}
+					re, ra := codec.EncodeRef(data, NewEvaluator(ctx, obj))
+					if fe != re || fa != ra {
+						t.Fatalf("obj %v trial %d ctx %+v data %#x: fast (%#x,%#x) != ref (%#x,%#x)",
+							obj, trial, ctx, data, fe, fa, re, ra)
+					}
+				}
+			}
+		})
+	}
+}
 
 var equivObjectives = []Objective{ObjFlips, ObjOnes, ObjEnergySAW, ObjSAWEnergy}
 
@@ -395,6 +464,10 @@ func FuzzEncodeEquivalence(f *testing.F) {
 	// energy+SAW on the stored-kernel codec.
 	f.Add(uint64(0x123456789), uint64(0xFEDCBA987654321), uint64(0x2468ACE),
 		uint64(0xFF00FF00FF00FF00), uint64(0x0F0F0F0F0F0F0F0F), uint64(0x15), uint8(0x80|2), uint8(0))
+	// Seed pinning the integral model (objSel bit 5) under energy+SAW on
+	// the stored-kernel codec's MLC integer keys.
+	f.Add(uint64(0x9E3779B97F4A7C15), uint64(0x243F6A8885A308D3), uint64(0x13198A2E),
+		uint64(0xC0C0C0C00F0F0F0F), uint64(0x4040404005050505), uint64(0x2A), uint8(0x20|2), uint8(0))
 
 	codecs := equivCodecs()
 	var sc SlicedCtx
@@ -423,10 +496,17 @@ func FuzzEncodeEquivalence(f *testing.F) {
 			StuckVal:  stuckVal & stuckMask,
 			OldAux:    oldAux,
 		}
-		if objSel&0x80 != 0 {
+		switch {
+		case objSel&0x80 != 0:
 			// objSel bit 7 (set by no saved seed) prices against the
 			// negative-coefficient model.
 			ctx.Energy = negativeEnergy
+		case objSel&0x20 != 0 && mode == pcm.MLC:
+			// objSel bit 5 prices MLC contexts against the integral
+			// lowHeavyEnergy model. The one saved corpus entry that sets
+			// the bit is an SLC context, which keeps the default model and
+			// so its meaning.
+			ctx.Energy = lowHeavyEnergy
 		}
 		data &= bitutil.Mask(ec.n)
 		evFast := NewEvaluator(ctx, obj)

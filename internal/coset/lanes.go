@@ -22,16 +22,33 @@ package coset
 // partition's integer counts at once.
 //
 // Bit-identity with EncodeRef: the counts are the exact integers the
-// reference's Part derives per partition. Energies come from etab, which
-// holds the reference's float64(hi)*cHi + float64(lo)*cLo expression for
-// every count pair, and each partition adds its flag bit's aux cost to
-// it, as the reference's Part(...).Add(AuxBit(...)) does. The
-// orientation select follows Pair.Less, the kernel total sums the chosen
-// partitions in partition order and then the index bits in bit order,
-// and the incumbent moves only on a strict Less in kernel order: the same
-// float operations, in the same order, on the same values. The integer
-// objectives (flips, ones) are small exact integers in float64, so they
-// are summed and compared as integers, all lanes at once.
+// reference's Part derives per partition, and three arms turn them into
+// the reference's decisions.
+//
+//   - Integer objectives (flips, ones) are small exact integers in
+//     float64, so they are summed and compared as integers, all lanes at
+//     once (laneScanCounts).
+//   - Energy objectives with integral coefficients (laneScanKeys): when
+//     both coefficients are whole picojoules, every value the reference
+//     computes — products, partition costs, kernel sums — is an integer
+//     below 2^53, so no float operation rounds and no sum depends on its
+//     order. Each lane then holds one integer key, energy-major
+//     E<<sb | S under energy+SAW or SAW-major S<<eb | E under SAW+energy,
+//     whose minor field is wide enough for the whole kernel's sum, so a
+//     strict Pair.Less between two candidates is a strict integer compare
+//     of their keys. BindLine takes this arm only when the keys fit
+//     (bindKeys).
+//   - Other energy models (laneScanEnergy): energies come from etab,
+//     which holds the reference's float64(hi)*cHi + float64(lo)*cLo
+//     expression for every count pair, and each partition adds its flag
+//     bit's aux cost to it, as the reference's Part(...).Add(AuxBit(...))
+//     does. The kernel total sums the chosen partitions in partition
+//     order and then the index bits in bit order: the same float
+//     operations, in the same order, on the same values.
+//
+// Every arm keeps the reference's tie-breaks: a partition takes the
+// complemented kernel only when it is strictly cheaper, and the
+// incumbent moves only on a strict improvement, in kernel order.
 
 import (
 	"math"
@@ -57,6 +74,51 @@ func (g lanePop) count(x uint64) uint64 {
 	return x * g.mul >> (g.shift & 63) & g.low
 }
 
+// laneSel picks, in every lane at once, the cheaper of two packed costs.
+// one has bit 0 of each of the p lanes set, fill is one lane of ones,
+// mid holds 2^(L-1) - 1 in every lane and top is L - 1.
+type laneSel struct {
+	one, mid, fill uint64
+	top            uint
+}
+
+// less returns bit 0 of every lane set where c1 < c0. Both must hold
+// values below 2^(L-1) per lane: then (c0 + mid) - c1 stays within
+// [0, 2^L - 2] in every lane, so no lane borrows from or carries into
+// its neighbour, and the lane's top bit is set exactly when c0 - c1 >= 1.
+func (s laneSel) less(c0, c1 uint64) uint64 {
+	return (c0 + s.mid - c1) >> (s.top & 63) & s.one
+}
+
+// pick returns c0 with the lanes that lt marks taken from c1.
+func (s laneSel) pick(c0, c1, lt uint64) uint64 {
+	return c0 ^ (c0^c1)&(lt*s.fill)
+}
+
+// flags gathers lt's lane bits into flag bit j of each partition j.
+func (s laneSel) flags(lt uint64, p int) uint64 {
+	var f uint64
+	for j := 0; j < p; j++ {
+		f |= lt >> (uint(j) * (s.top + 1) & 63) & 1 << uint(j)
+	}
+	return f
+}
+
+// evenLanes[k] keeps the even lanes of a word cut into lanes of 8<<k
+// bits.
+var evenLanes = [3]uint64{0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF}
+
+// laneTotal adds up the lanes of x, of 8<<k bits each, into one integer.
+// Each step adds neighbouring lanes into lanes twice as wide, so no sum
+// ever carries into the next lane however large the lanes are.
+func laneTotal(x uint64, k int) uint64 {
+	for ; k < len(evenLanes); k++ {
+		m := evenLanes[k]
+		x = x&m + x>>(8<<uint(k)&63)&m
+	}
+	return x
+}
+
 // bindLanes fixes the lane geometry of the bound context. The lane scan
 // takes lanes of 8, 16, 32 or 64 bits holding fewer than 64 cells (so
 // the etab index fits): full-word m of 8, 16 and 32 (and 64 on MLC),
@@ -71,27 +133,87 @@ func (sc *SlicedCtx) bindLanes() {
 		sc.flipMask = bitutil.SpreadEven(sc.flipMask)
 		sc.wordMask = bitutil.Mask(2 * sc.p * sc.m)
 	}
-	cells := L
+	sc.cells = L
 	sc.cellMask, sc.cellShift = ^uint64(0), 0
 	if sc.mode == pcm.MLC {
-		cells = L / 2
+		sc.cells = L / 2
 		sc.cellMask, sc.cellShift = 0x5555555555555555, 1
 	}
-	sc.etabFits = cells < 64
+	sc.etabFits = sc.cells < 64
 	sc.lane = 0
 	if !sc.etabFits || L < 8 || L&(L-1) != 0 {
 		return
 	}
 	sc.lane = uint(L)
-	sc.laneOne, sc.pop.low = 0, 0
+	var one uint64
+	sc.pop.low = 0
 	for j := 0; j < sc.p; j++ {
-		sc.laneOne |= 1 << uint(j*L)
+		one |= 1 << uint(j*L)
 	}
 	for sh := 0; sh < 64; sh += L {
 		sc.pop.low |= 0xFF << uint(sh)
 	}
 	sc.pop.mul = 0x0101010101010101 >> uint(64-L)
 	sc.pop.shift = uint(L - 8)
+	sc.sel = laneSel{one: one, mid: one * (1<<uint(L-1) - 1), fill: 1<<uint(L) - 1, top: uint(L - 1)}
+	sc.foldFrom = bits.TrailingZeros(uint(L)) - 3
+}
+
+// bindKeys decides whether laneScanKeys prices the bound energy
+// objective, and fixes its key layout; idxBits is the width of the kernel
+// index. It takes the integer arm when both coefficients are whole
+// picojoules (wholePJ) and the keys fit:
+//
+//   - a lane holds at most cells changed cells plus its flag bit, so its
+//     energy is at most laneE = (cells+1)*max(qHi, qLo), and a kernel's,
+//     index bits included, at most totalE = p*laneE + idxBits*max(qHi, qLo);
+//   - totalE stays below 2^53, so the reference's float sums are exact;
+//   - the key's minor field holds the whole kernel's sum of that field:
+//     sb = Len(p*cells) bits for SAW under energy+SAW (key E<<sb | S), and
+//     eb = Len(totalE) bits for energy under SAW+energy (key S<<eb | E);
+//   - the largest key, laneE<<sb | cells or cells<<eb | laneE, stays
+//     below 2^(L-1), which laneSel.less needs.
+//
+// On full-word MLC with 16-bit lanes (8 cells, p = 4, 16 kernels) and
+// Table I's 40 and 4 pJ, the keys peak at 360<<6 | 8 = 23,048 and
+// 8<<11 | 360 = 16,744, both below 2^15. Otherwise the float arm runs.
+func (sc *SlicedCtx) bindKeys(cHi, cLo float64, idxBits int) {
+	sc.intKeys = false
+	if sc.lane == 0 || (sc.obj != ObjEnergySAW && sc.obj != ObjSAWEnergy) {
+		return
+	}
+	qHi, okHi := wholePJ(cHi)
+	qLo, okLo := wholePJ(cLo)
+	if !okHi || !okLo {
+		return
+	}
+	cells, p := uint64(sc.cells), uint64(sc.p)
+	qMax := max(qHi, qLo)
+	laneE := (cells + 1) * qMax
+	totalE := p*laneE + uint64(idxBits)*qMax
+	if totalE >= 1<<53 {
+		return
+	}
+	major, minorBits := laneE, uint(bits.Len64(p*cells))
+	sc.keyE, sc.keyS = minorBits, 0
+	if sc.obj == ObjSAWEnergy {
+		major, minorBits = cells, uint(bits.Len64(totalE))
+		sc.keyE, sc.keyS = 0, minorBits
+	}
+	if minorBits >= sc.lane-1 || major >= 1<<(sc.lane-1-minorBits) {
+		return
+	}
+	sc.qHi, sc.qLo = qHi<<sc.keyE, qLo<<sc.keyE
+	sc.intKeys = true
+}
+
+// wholePJ returns c as an integer when it is one: not negative (nor
+// -0), not NaN or infinite, and below 2^53.
+func wholePJ(c float64) (uint64, bool) {
+	if math.Signbit(c) || c != math.Trunc(c) || c >= 1<<53 {
+		return 0, false
+	}
+	return uint64(c), true
 }
 
 // laneImages returns every kernel tiled across the p partitions in the
@@ -127,9 +249,12 @@ func (c *VCC) encodeLanes(d uint64, kernels []uint64, sc *SlicedCtx) (uint64, ui
 	}
 	var best int
 	var flags uint64
-	if sc.obj == ObjFlips || sc.obj == ObjOnes {
+	switch {
+	case sc.obj == ObjFlips || sc.obj == ObjOnes:
 		best, flags = c.laneScanCounts(base, imgs, sc)
-	} else {
+	case sc.intKeys:
+		best, flags = c.laneScanKeys(base, imgs, sc)
+	default:
 		best, flags = c.laneScanEnergy(base, imgs, sc)
 	}
 	return d ^ kernels[best]*c.repMul ^ c.flagTab[flags], uint64(best)<<uint(c.p) | flags
@@ -138,9 +263,10 @@ func (c *VCC) encodeLanes(d uint64, kernels []uint64, sc *SlicedCtx) (uint64, ui
 // laneScanCounts prices the integer objectives: changed cells (flips) or
 // plane ones. Costs per lane stay below 128 and a whole kernel's below
 // 256, so the orientation select and the partition sum run on all lanes
-// at once: c1 < c0 exactly when lane bit 7 of (c0 + 127) - c1 is set.
+// at once, and one multiply folds the lanes: the byte-wide sums never
+// carry, which laneTotal's wider steps exist for.
 func (c *VCC) laneScanCounts(base uint64, imgs []uint64, sc *SlicedCtx) (int, uint64) {
-	L, one, g := sc.lane, sc.laneOne, sc.pop
+	L, g, s := sc.lane, sc.pop, sc.sel
 	old, sm, sv, f := sc.wOld, sc.wStuckMask, sc.wStuckVal, sc.flipMask
 	fns, cm, cs := f&^sm, sc.cellMask, sc.cellShift&63
 	// Flag-bit aux costs per lane; the index bits cost one per bit that
@@ -154,12 +280,10 @@ func (c *VCC) laneScanCounts(base uint64, imgs []uint64, sc *SlicedCtx) (int, ui
 	ones := sc.obj == ObjOnes
 	idxOld := sc.oldAux >> uint(c.p)
 	if ones {
-		a1 += one * uint64(c.m) // the complement has m - ones0 ones
+		a1 += s.one * uint64(c.m) // the complement has m - ones0 ones
 		idxOld = 0
 	}
 	idxMask := bitutil.Mask(c.AuxBits() - c.p)
-	fill := uint64(1)<<L - 1
-	k127 := one * 127
 	top := uint(c.p-1) * L & 63
 	bestI, bestCost, bestLT := 0, 0, uint64(0)
 	for i, img := range imgs {
@@ -174,22 +298,66 @@ func (c *VCC) laneScanCounts(base uint64, imgs []uint64, sc *SlicedCtx) (int, ui
 			c0 = g.count((x0|x0>>cs)&cm) + a0
 			c1 = g.count((x1|x1>>cs)&cm) + a1
 		}
-		lt := (c0 + k127 - c1) >> 7 & one
-		low := c0 ^ (c0^c1)&(lt*fill)
-		cost := int(low*one>>top&0xFF) + bits.OnesCount64((uint64(i)^idxOld)&idxMask)
+		lt := s.less(c0, c1)
+		low := s.pick(c0, c1, lt)
+		cost := int(low*s.one>>top&0xFF) + bits.OnesCount64((uint64(i)^idxOld)&idxMask)
 		if i == 0 || cost < bestCost {
 			bestI, bestCost, bestLT = i, cost, lt
 		}
 	}
-	var flags uint64
-	for j := 0; j < c.p; j++ {
-		flags |= bestLT >> (uint(j) * L) & 1 << uint(j)
-	}
-	return bestI, flags
+	return bestI, s.flags(bestLT, c.p)
 }
 
-// laneScanEnergy prices the two energy objectives. Energies are float
-// sums, so each partition is selected and added in partition order.
+// laneScanKeys prices the energy objectives on integer keys (bindKeys
+// chose this arm and fixed the layout): per lane
+// hi*qHi + lo*qLo + flag aux in the energy field and the SAW count in the
+// other, with qHi and qLo pre-shifted into the energy field. One
+// laneSel.less picks every partition's orientation, laneTotal sums the
+// chosen keys into the kernel's key, and two population counts price the
+// index bits, each set bit written over a 0 at qHi and each cleared bit
+// written over a 1 at qLo, as Evaluator.AuxBit does.
+func (c *VCC) laneScanKeys(base uint64, imgs []uint64, sc *SlicedCtx) (int, uint64) {
+	L, g, s, k := sc.lane, sc.pop, sc.sel, sc.foldFrom
+	old, sm, sv, f := sc.wOld, sc.wStuckMask, sc.wStuckVal, sc.flipMask
+	fns, fs, cm, cs := f&^sm, f&sm, sc.cellMask, sc.cellShift&63
+	qh, ql, ss := sc.qHi, sc.qLo, sc.keyS&63
+	// Flag-bit aux energies per lane: writing 0 over an old 1 costs qLo,
+	// writing 1 over an old 0 costs qHi.
+	var ol uint64
+	for j := 0; j < c.p; j++ {
+		ol |= sc.oldAux >> uint(j) & 1 << (uint(j) * L & 63)
+	}
+	a0, a1 := ol*ql, (s.one^ol)*qh
+	idxOld := sc.oldAux >> uint(c.p)
+	idxMask := bitutil.Mask(c.AuxBits() - c.p)
+	bestI, bestCost, bestLT := 0, uint64(0), uint64(0)
+	for i, img := range imgs {
+		v := base ^ img
+		st0 := v&^sm | sv
+		x0 := st0 ^ old
+		st1 := st0 ^ fns
+		x1 := x0 ^ fns
+		w0 := (v ^ sv) & sm
+		w1 := w0 ^ fs
+		ch0 := (x0 | x0>>cs) & cm
+		ch1 := (x1 | x1>>cs) & cm
+		k0 := g.count(ch0&st0)*qh + g.count(ch0&^st0)*ql + g.count((w0|w0>>cs)&cm)<<ss + a0
+		k1 := g.count(ch1&st1)*qh + g.count(ch1&^st1)*ql + g.count((w1|w1>>cs)&cm)<<ss + a1
+		lt := s.less(k0, k1)
+		ui := uint64(i)
+		cost := laneTotal(s.pick(k0, k1, lt), k) +
+			qh*uint64(bits.OnesCount64(ui&^idxOld&idxMask)) +
+			ql*uint64(bits.OnesCount64(idxOld&^ui&idxMask))
+		if i == 0 || cost < bestCost {
+			bestI, bestCost, bestLT = i, cost, lt
+		}
+	}
+	return bestI, s.flags(bestLT, c.p)
+}
+
+// laneScanEnergy prices the two energy objectives on float energies.
+// Energies are float sums, so each partition is selected and added in
+// partition order.
 func (c *VCC) laneScanEnergy(base uint64, imgs []uint64, sc *SlicedCtx) (int, uint64) {
 	L, g, p := sc.lane, sc.pop, c.p
 	old, sm, sv, f := sc.wOld, sc.wStuckMask, sc.wStuckVal, sc.flipMask

@@ -3,6 +3,7 @@ package coset
 import (
 	"testing"
 
+	"repro/internal/bitutil"
 	"repro/internal/pcm"
 	"repro/internal/prng"
 )
@@ -17,24 +18,33 @@ import (
 // in-partition complement.
 
 // bruteGroupCounts counts, one cell at a time, the contributions of
-// nibble group g of partition j when the candidate's group bits equal
-// nib: MLC high/low-energy programs (or SLC SET/RESET in the hi/lo
-// slots) and stuck-at-wrong cells.
-func bruteGroupCounts(sc *SlicedCtx, j, g int, nib uint64) (hi, lo, saw int) {
+// nibble group g of partition j of the write context ctx when the
+// candidate's group bits equal nib: MLC high/low-energy programs (or SLC
+// SET/RESET in the hi/lo slots) and stuck-at-wrong cells. It reads the
+// partition's sub-blocks from ctx's words, not from the bound context.
+func bruteGroupCounts(sc *SlicedCtx, ctx Ctx, j, g int, nib uint64) (hi, lo, saw int) {
+	w := sc.m
+	if sc.mlcPlane {
+		w = 2 * sc.m
+	}
+	oldJ := bitutil.SubBlock(ctx.OldWord, j, w)
+	smJ := bitutil.SubBlock(ctx.StuckMask, j, w)
+	svJ := bitutil.SubBlock(ctx.StuckVal, j, w)
 	if sc.mlcPlane {
 		// Group g covers symbols [4g, 4g+4) of the partition; each symbol
-		// occupies two bits of the 2m-bit word-coordinate slice, with the
-		// candidate supplying the right digit and leftSpread the left.
+		// occupies two bits of the 2m-bit word-coordinate sub-block, with
+		// the candidate supplying the right digit and NewLeft the left.
+		leftJ := bitutil.SubBlock(ctx.NewLeft, j, sc.m)
 		for s := 0; s < 4; s++ {
 			if 4*g+s >= sc.m {
 				break
 			}
 			bit := uint(8*g + 2*s)
-			oldSym := sc.old[j] >> bit & 3
-			left := sc.leftSpread[j] >> (bit + 1) & 1
+			oldSym := oldJ >> bit & 3
+			left := leftJ >> uint(4*g+s) & 1
 			desired := left<<1 | nib>>uint(s)&1
-			sm := sc.stuckMask[j] >> bit & 3
-			sv := sc.stuckVal[j] >> bit & 3
+			sm := smJ >> bit & 3
+			sv := svJ >> bit & 3
 			stored := (desired &^ sm) | (sv & sm)
 			if stored != oldSym {
 				if stored&1 == 1 {
@@ -57,10 +67,10 @@ func bruteGroupCounts(sc *SlicedCtx, j, g int, nib uint64) (hi, lo, saw int) {
 				break
 			}
 			bit := uint(4*g + 2*s)
-			oldSym := sc.old[j] >> bit & 3
+			oldSym := oldJ >> bit & 3
 			desired := nib >> uint(2*s) & 3
-			sm := sc.stuckMask[j] >> bit & 3
-			sv := sc.stuckVal[j] >> bit & 3
+			sm := smJ >> bit & 3
+			sv := svJ >> bit & 3
 			stored := (desired &^ sm) | (sv & sm)
 			if stored != oldSym {
 				if stored&1 == 1 {
@@ -82,10 +92,10 @@ func bruteGroupCounts(sc *SlicedCtx, j, g int, nib uint64) (hi, lo, saw int) {
 			break
 		}
 		bit := uint(4*g + s)
-		oldBit := sc.old[j] >> bit & 1
+		oldBit := oldJ >> bit & 1
 		desired := nib >> uint(s) & 1
-		sm := sc.stuckMask[j] >> bit & 1
-		sv := sc.stuckVal[j] >> bit & 1
+		sm := smJ >> bit & 1
+		sv := svJ >> bit & 1
 		stored := (desired &^ sm) | (sv & sm)
 		if stored != oldBit {
 			if stored == 1 {
@@ -154,14 +164,14 @@ func TestBindLineRebindAllocFree(t *testing.T) {
 	}
 	ev := NewEvaluator(ctxs[0], ObjEnergySAW)
 	var sc SlicedCtx
-	const hint = 128 // the r=64 kernel-set hint: tables amortize under energy+SAW
-	if !sc.BindLine(ev, 16, hint) {
+	const kernels = 64 // an r=64 kernel set: tables amortize under energy+SAW
+	if !sc.BindLine(ev, 16, kernels) {
 		t.Fatal("BindLine refused a supported configuration")
 	}
 	run := func() {
 		for i := range ctxs {
 			ev.Reset(ctxs[i], ObjEnergySAW)
-			if !sc.BindFor(ev, 16, hint) {
+			if !sc.BindFor(ev, 16, kernels) {
 				t.Fatal("BindFor refused the bound-line configuration")
 			}
 		}
@@ -172,7 +182,7 @@ func TestBindLineRebindAllocFree(t *testing.T) {
 		t.Errorf("warm ring pass took %d fast rebinds, want %d", got, ringLen)
 	}
 	if !sc.tabOK {
-		t.Fatal("r=64 hint did not build nibble tables under energy+SAW")
+		t.Fatal("r=64 kernel set did not build nibble tables under energy+SAW")
 	}
 	if avg := testing.AllocsPerRun(50, run); avg != 0 {
 		t.Errorf("warm BindFor ring pass allocated %.2f times, want 0", avg)
@@ -180,7 +190,7 @@ func TestBindLineRebindAllocFree(t *testing.T) {
 	// A changed objective must miss the fingerprint and rebind cold.
 	before = sc.fastRebinds
 	ev.Reset(ctxs[0], ObjFlips)
-	if !sc.BindFor(ev, 16, hint) {
+	if !sc.BindFor(ev, 16, kernels) {
 		t.Fatal("BindFor refused an objective change")
 	}
 	if sc.fastRebinds != before {
@@ -192,9 +202,9 @@ func TestNibbleTableCountsExact(t *testing.T) {
 	rng := prng.New(0x7AB1E)
 	var sc SlicedCtx
 	sc.ForceTables = true
-	checkHalf := func(t *testing.T, sc *SlicedCtx, j, g int, nib uint64, got uint32) {
+	checkHalf := func(t *testing.T, sc *SlicedCtx, ctx Ctx, j, g int, nib uint64, got uint32) {
 		t.Helper()
-		hi, lo, saw := bruteGroupCounts(sc, j, g, nib)
+		hi, lo, saw := bruteGroupCounts(sc, ctx, j, g, nib)
 		want := uint32(hi) | uint32(lo)<<8 | uint32(saw)<<16
 		if got != want {
 			t.Fatalf("m=%d mode=%v plane=%v j=%d g=%d nib=%#x: table counts (hi=%d lo=%d saw=%d), brute force (hi=%d lo=%d saw=%d)",
@@ -230,8 +240,8 @@ func TestNibbleTableCountsExact(t *testing.T) {
 							continue // candidates never index past the partition width
 						}
 						ent := sc.nibTab[(j*sc.groups+g)*16+int(nib)]
-						checkHalf(t, &sc, j, g, nib, uint32(ent))
-						checkHalf(t, &sc, j, g, nib^gmask, uint32(ent>>32))
+						checkHalf(t, &sc, ctx, j, g, nib, uint32(ent))
+						checkHalf(t, &sc, ctx, j, g, nib^gmask, uint32(ent>>32))
 					}
 				}
 			}

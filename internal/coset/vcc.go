@@ -229,7 +229,9 @@ func (c *VCC) EncodeRef(data uint64, ev *Evaluator) (uint64, uint64) {
 //     work;
 //   - otherwise the lane scan (encodeLanes), which prices all p
 //     partitions of a kernel in both orientations in one 64-bit word,
-//     for every objective and lane geometry;
+//     for every objective and lane geometry: under the energy objectives
+//     on integer keys when BindLine found both coefficients whole and
+//     the keys fit the lanes (bindKeys), on float energies otherwise;
 //   - otherwise EncodeRef.
 //
 // Both scans are bit-identical to EncodeRef (TestFastEncodeMatchesReference
@@ -239,9 +241,10 @@ func (c *VCC) EncodeSliced(data uint64, ev *Evaluator, sc *SlicedCtx) (uint64, u
 	// A context whose plane width disagrees with the codec's would slice
 	// into partitions the search does not iterate; the reference path
 	// defines the (degenerate) semantics of that misuse, so defer to it.
-	// Each kernel prices both complements of every partition: the bind
-	// hint is 2r prices per partition.
-	if ev.Ctx.N != c.n || !sc.BindFor(ev, c.m, 2*c.src.NumKernels()) {
+	// The bind is told the kernel count r: each kernel prices both
+	// complements of every partition (2r prices per partition), and the
+	// kernel index takes log2(r) aux bits.
+	if ev.Ctx.N != c.n || !sc.BindFor(ev, c.m, c.src.NumKernels()) {
 		return c.EncodeRef(data, ev)
 	}
 	d := data & bitutil.Mask(c.n)
