@@ -40,13 +40,14 @@ const maxNibGroups = 64
 // nibTableMinPrices is the amortization threshold of BindFor: nibble
 // tables are built only under ObjEnergySAW, and only when the codec
 // expects at least this many PartCost prices (two per kernel) per
-// partition per 16-entry group. Every other objective, and energy+SAW below the threshold, is
-// priced by the table-free lane scan (lanes.go), which measures faster
-// there: the tables pay for themselves only when the lazy scan's prune
-// after the first partition skips most kernels' remaining work, which
-// takes a large kernel set. For VCC (hint 2r) at m=16 the line falls at
-// r = 32: VCC-Gen(16,256) (r=64) keeps its tables, the engine's stored
-// r=16 ROM does not, and FNW (2 prices) never builds them.
+// partition per 16-entry group. Every other objective, and energy+SAW
+// below the threshold, is priced by the table-free lane scan
+// (lanes.go), which measures faster there: the tables pay for
+// themselves only when the lazy scan's prune after the first partition
+// skips most kernels' remaining work, which takes a large kernel set.
+// For VCC (2r prices) at m=16 the line falls at r = 32: VCC-Gen(16,256)
+// (r=64) keeps its tables, the engine's stored r=16 ROM does not, and
+// FNW (one kernel, 2 prices) never builds them.
 const nibTableMinPrices = 16
 
 // SlicedCtx is a write context bound for pricing partition by partition.
@@ -80,8 +81,12 @@ type SlicedCtx struct {
 	// under it and, on the MLC plane, the spread-odd left digits, all
 	// restricted to the plane's bits in word coordinates (wordMask). The
 	// lane scan reads them whole; direct pricing and the nibble tables
-	// read partition j's sub-block (part).
+	// read partition j's sub-block (part), the partW bits from j*partW:
+	// m bits, or on the MLC plane the 2m bits of the partition's
+	// symbols. partMask is Mask(partW).
 	wOld, wStuckMask, wStuckVal, wLeft uint64
+	partW                              uint
+	partMask                           uint64
 
 	// auxTab[old][val] is the cost of writing an auxiliary bit with
 	// value val over stored value old — the whole Evaluator.AuxBit
@@ -195,14 +200,14 @@ type bindKey struct {
 	kernels        int
 }
 
-// BindFor is Bind for a codec that searches kernels kernels, each
-// pricing both orientations of every partition: 2*kernels PartCost
-// queries per partition before the next rebind, and a kernel index of
-// log2(kernels) aux bits. Under energy+SAW, when those queries clear the
-// per-group construction threshold (or ForceTables is set), BindFor
-// additionally builds the per-partition nibble count tables so each
-// query collapses into ceil(m/4) table lookups; otherwise queries run
-// the direct per-symbol path and construction costs nothing.
+// BindFor is Bind for a codec that searches the given number of
+// kernels, each pricing both orientations of every partition: 2*kernels
+// PartCost queries per partition before the next rebind, and a kernel
+// index of log2(kernels) aux bits. Under energy+SAW, when those queries
+// clear the per-group construction threshold (or ForceTables is set),
+// BindFor additionally builds the per-partition nibble count tables so
+// each query collapses into ceil(m/4) table lookups; otherwise queries
+// run the direct per-symbol path and construction costs nothing.
 //
 // BindFor is line-scoped: when the configuration fingerprint matches
 // the previous bind — the common case for the 8 words of a cache line,
@@ -280,6 +285,11 @@ func (sc *SlicedCtx) BindLine(ev *Evaluator, m, kernels int) bool {
 				uint64(old), uint64(val))
 		}
 	}
+	sc.partW = uint(m)
+	if sc.mlcPlane {
+		sc.partW = uint(2 * m)
+	}
+	sc.partMask = bitutil.Mask(int(sc.partW))
 	sc.groups = bitutil.NibbleGroups(m)
 	sc.lastNibMask = bitutil.Mask(m - 4*(sc.groups-1))
 	sc.wantTab = sc.obj == ObjEnergySAW && !sc.DisableTables &&
@@ -310,13 +320,9 @@ func (sc *SlicedCtx) BindLine(ev *Evaluator, m, kernels int) bool {
 }
 
 // part returns partition j's sub-block of w, one of the bound context
-// words: m bits, or on the MLC plane the 2m word-coordinate bits of the
-// partition's symbols.
+// words.
 func (sc *SlicedCtx) part(w uint64, j int) uint64 {
-	if sc.mlcPlane {
-		return bitutil.SubBlock(w, j, 2*sc.m)
-	}
-	return bitutil.SubBlock(w, j, sc.m)
+	return w >> (uint(j) * sc.partW & 63) & sc.partMask
 }
 
 // buildNibbleTables fills nibTab for the bound context. Each entry is

@@ -263,8 +263,8 @@ func (c *VCC) encodeLanes(d uint64, kernels []uint64, sc *SlicedCtx) (uint64, ui
 // laneScanCounts prices the integer objectives: changed cells (flips) or
 // plane ones. Costs per lane stay below 128 and a whole kernel's below
 // 256, so the orientation select and the partition sum run on all lanes
-// at once, and one multiply folds the lanes: the byte-wide sums never
-// carry, which laneTotal's wider steps exist for.
+// at once, and one multiply sums the chosen lanes into a byte (the
+// energy keys do not fit a byte and sum with laneTotal instead).
 func (c *VCC) laneScanCounts(base uint64, imgs []uint64, sc *SlicedCtx) (int, uint64) {
 	L, g, s := sc.lane, sc.pop, sc.sel
 	old, sm, sv, f := sc.wOld, sc.wStuckMask, sc.wStuckVal, sc.flipMask

@@ -226,14 +226,14 @@ type Controller struct {
 	ev      coset.Evaluator
 	// fast is non-nil when the codec exposes the partition-sliced encode
 	// fast path (detected once at construction); sliced is the
-	// controller-owned write context it rebinds per word, so the slice
-	// storage is reused across the eight words of a line and across
-	// lines without a heap allocation. The context now carries the
-	// nibble-table storage too (~40KB: the per-partition count tables
-	// plus the energy multiply-accumulate cache) as fixed arrays, so
-	// embedding it by value keeps the whole rebind cycle — slicing,
-	// table construction, etab reuse across energy-model-stable rebinds
-	// — inside one controller-owned allocation made at New.
+	// controller-owned write context it rebinds per word, reused across
+	// the eight words of a line and across lines without a heap
+	// allocation. The context carries the nibble-table storage (~40KB:
+	// the per-partition count tables plus the energy multiply-accumulate
+	// cache) as fixed arrays, so embedding it by value keeps the whole
+	// rebind cycle — the per-word bind, table construction, etab reuse
+	// across energy-model-stable rebinds — inside one controller-owned
+	// allocation made at New.
 	fast   coset.FastCodec
 	sliced coset.SlicedCtx
 	// lineDec is non-nil when the codec exposes the batched decode fast
