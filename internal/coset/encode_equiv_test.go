@@ -152,10 +152,10 @@ var (
 
 // TestLaneScanEnergyArm pins which arm the lane scan prices the energy
 // objectives with, per energy model: BindLine takes the integer keys for
-// Table I's whole-picojoule MLC model and keeps the float arm for the SLC
-// model's fractional 19.2 pJ, a -0 coefficient, an infinite or NaN one,
-// a negative integer, and an integer too large for the keys. Every case
-// must also encode exactly as EncodeRef.
+// Table I's whole-picojoule MLC model and keeps the float arm for its SLC
+// model's fractional 13.5 and 19.2 pJ, a -0 coefficient, an infinite or
+// NaN one, a negative integer, and an integer too large for the keys.
+// Every case must also encode exactly as EncodeRef.
 func TestLaneScanEnergyArm(t *testing.T) {
 	cases := []struct {
 		name    string

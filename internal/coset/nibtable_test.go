@@ -138,7 +138,7 @@ func TestBindForTablesAllocFree(t *testing.T) {
 	}
 	run() // warm: the codec's search scratch is built lazily
 	if !sc.tabOK {
-		t.Fatal("VCC-Gen bind hint did not build nibble tables")
+		t.Fatal("VCC-Gen kernel count did not build nibble tables")
 	}
 	if avg := testing.AllocsPerRun(50, run); avg != 0 {
 		t.Errorf("steady-state bind+encode allocated %.2f times per ring pass, want 0", avg)
