@@ -119,29 +119,6 @@ func SpreadEven(x uint64) uint64 {
 // SpreadOdd scatters the low 32 bits of x to odd bit positions 1,3,...,63.
 func SpreadOdd(x uint64) uint64 { return SpreadEven(x) << 1 }
 
-// NibbleGroups returns the number of 4-bit nibble groups covering an
-// m-bit value: ceil(m/4). The coset encode fast path prices candidates
-// per nibble group, so partition geometry and nibble-table sizing share
-// this one definition.
-func NibbleGroups(m int) int { return (m + 3) / 4 }
-
-// Nibble extracts nibble group g (bits [4g, 4g+4)) of x.
-func Nibble(x uint64, g int) uint64 {
-	return (x >> uint(4*g)) & 0xF
-}
-
-// spreadEvenNibbleTab[v] is SpreadEven(v) for v in [0, 16): the 4-bit
-// value scattered to even bit positions 0, 2, 4, 6.
-var spreadEvenNibbleTab = [16]uint64{
-	0x00, 0x01, 0x04, 0x05, 0x10, 0x11, 0x14, 0x15,
-	0x40, 0x41, 0x44, 0x45, 0x50, 0x51, 0x54, 0x55,
-}
-
-// SpreadEvenNibble is SpreadEven restricted to a 4-bit input: one table
-// lookup instead of the five shift/mask steps, sized for the nibble-table
-// construction loop that calls it 16 times per table.
-func SpreadEvenNibble(v uint64) uint64 { return spreadEvenNibbleTab[v&0xF] }
-
 // SplitPlanes splits an MLC word into its (left, right) digit planes,
 // each returned in the low 32 bits.
 func SplitPlanes(word uint64) (left, right uint64) {

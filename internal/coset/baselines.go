@@ -87,9 +87,8 @@ func (c *FNW) EncodeRef(data uint64, ev *Evaluator) (uint64, uint64) {
 // historical selection rule compares data cost alone), so the decision
 // rule is exactly EncodeRef's, on bit-identical Pairs.
 func (c *FNW) EncodeSliced(data uint64, ev *Evaluator, sc *SlicedCtx) (uint64, uint64) {
-	// FNW binds as a one-kernel search: each partition is asked for
-	// exactly one candidate pair, far below the nibble-table construction
-	// threshold, so Bind stays cheap and pricing runs the direct path.
+	// FNW binds as a one-kernel search: each partition prices one
+	// candidate pair, and there is no kernel index.
 	if ev.Ctx.N != c.n || !sc.BindFor(ev, c.k, 1) {
 		return c.EncodeRef(data, ev)
 	}
@@ -98,7 +97,7 @@ func (c *FNW) EncodeSliced(data uint64, ev *Evaluator, sc *SlicedCtx) (uint64, u
 	var enc, aux uint64
 	for j := 0; j < p; j++ {
 		d := bitutil.SubBlock(data, j, c.k)
-		costP, costF := sc.PartCostPair(j, d)
+		costP, costF := sc.PartCost(j, d), sc.PartCost(j, d^kMask)
 		if costF.Less(costP) {
 			enc |= (d ^ kMask) << uint(j*c.k)
 			aux |= 1 << uint(j)

@@ -86,8 +86,8 @@ func BenchmarkEncode(b *testing.B) {
 	}
 	cases := []codecCase{
 		{"VCC-Stored(64,256,16)", NewVCCStored(64, 16, 256, 1), 64, false, true},
-		// r=64: past the table threshold, so energy+SAW takes the table
-		// scan here and the lane scan at r=16 above.
+		// r=64: the lane scan on a full-word ROM with four times the
+		// kernels of the r=16 one above.
 		{"VCC-Stored(64,1024,64)", NewVCCStored(64, 16, 1024, 1), 64, false, true},
 		{"VCC-Gen(16,256)", NewVCCGenerated(16, 256), 32, true, false},
 		{"RCC(64,256)", NewRCC(64, 256, 1), 64, false, true},
@@ -144,37 +144,20 @@ func refEncodeFunc(c Codec) encodeFunc {
 }
 
 // BenchmarkSlicedCtxBind isolates the per-word bind overhead the
-// controller pays before any candidate is priced: the direct variant is
-// the bind alone (no tables, the FNW-style bind), the tables variant adds
-// nibble-count table construction for VCC-Gen(16,256)'s 64 kernels —
-// the full per-word rebind cost of the table-scan encode path.
-// ReportAllocs pins both at zero: the tables are fixed arrays owned by
-// the SlicedCtx, rebuilt in place on every rebind.
+// controller pays before any candidate is priced: VCC-Gen(16,256)'s
+// energy+SAW bind on rotating contexts, which after the first word takes
+// the line-scoped fingerprint path. ReportAllocs pins it at zero.
 func BenchmarkSlicedCtxBind(b *testing.B) {
-	variants := []struct {
-		name    string
-		kernels int
-	}{
-		{"direct", 0},
-		{"tables", 64},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			ring := newBenchCtxRing(32, true, false, 2)
-			ev := NewEvaluator(ring.ctxs[0], ObjEnergySAW)
-			var sc SlicedCtx
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k := i & (len(ring.ctxs) - 1)
-				ev.Reset(ring.ctxs[k], ObjEnergySAW)
-				if !sc.BindFor(ev, 16, v.kernels) {
-					b.Fatal("bind failed")
-				}
-			}
-			if v.kernels > 0 && !sc.tabOK {
-				b.Fatal("tables variant built no tables")
-			}
-		})
+	ring := newBenchCtxRing(32, true, false, 2)
+	ev := NewEvaluator(ring.ctxs[0], ObjEnergySAW)
+	var sc SlicedCtx
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i & (len(ring.ctxs) - 1)
+		ev.Reset(ring.ctxs[k], ObjEnergySAW)
+		if !sc.BindFor(ev, 16, 64) {
+			b.Fatal("bind failed")
+		}
 	}
 }

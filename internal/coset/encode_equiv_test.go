@@ -46,8 +46,7 @@ func equivCodecs() []equivCodec {
 
 // extraEquivCodecs are the geometries only TestFastEncodeMatchesReference
 // covers: 8-bit lanes with p=8 and one kernel (ablate-m's m=8), and a
-// full-word r=64 ROM, which takes the table scan's generic-p loop under
-// energy+SAW.
+// full-word r=64 ROM, whose six index bits enter bindKeys' fit rule.
 func extraEquivCodecs() []equivCodec {
 	return []equivCodec{
 		{"VCC-Stored(64,256,1)m8", NewVCCStored(64, 8, 256, 5), 64, false},
@@ -120,10 +119,9 @@ func equivCtx(rng *prng.Rand, n int, mlcPlane bool) Ctx {
 }
 
 // customEnergy is an arbitrary positive energy model; negativeEnergy
-// has a negative coefficient per cell mode, which turns off the table
-// scan (its prune bounds assume nonnegative energies) and the scans'
-// branch-free orientation select, so those contexts run the lane scan's
-// exact Pair.Less select.
+// has a negative coefficient per cell mode, which turns off the float
+// arm's branch-free orientation select, so those contexts run its exact
+// Pair.Less select.
 //
 // lowHeavyEnergy and wideEnergy are integral. lowHeavyEnergy prices a
 // low-drive program above a high-drive one and has a zero coefficient
@@ -199,31 +197,21 @@ func TestLaneScanEnergyArm(t *testing.T) {
 
 var equivObjectives = []Objective{ObjFlips, ObjOnes, ObjEnergySAW, ObjSAWEnergy}
 
-// setTableMode drives the SlicedCtx nibble-table toggles through their
-// three states — 0: BindFor's amortization threshold decides, 1: tables
-// forced on every energy+SAW bind (VCC takes the table scan), 2: tables
-// disabled (direct per-symbol pricing; VCC takes the lane scan) — so
-// equivalence trials cross-check both pricing paths and both scans on
-// identical contexts.
-func setTableMode(sc *SlicedCtx, mode int) {
-	sc.ForceTables = mode == 1
-	sc.DisableTables = mode == 2
-}
-
 // TestFastEncodeMatchesReference is the randomized equivalence oracle:
 // every sliced-path codec, 4 objectives, SLC + MLC (full-word and
 // right-digit plane), random stuck patterns and old aux, against the
 // retained reference evaluator search. A shared SlicedCtx is reused
-// across all trials, mimicking the controller's per-word rebinding, and
-// trials rotate through the three table modes so the nibble-table and
-// direct pricing paths are both held to the reference.
+// across all trials, mimicking the controller's per-word rebinding.
+// Every VCC geometry here has a lane geometry, so each VCC encode must
+// also leave the context bound with a lane: the equivalence check alone
+// cannot tell a silent EncodeRef fallback from the lane scan.
 func TestFastEncodeMatchesReference(t *testing.T) {
 	rng := prng.New(0x5E11CED)
 	var sc SlicedCtx
 	for _, ec := range append(equivCodecs(), extraEquivCodecs()...) {
 		t.Run(ec.name, func(t *testing.T) {
+			_, isVCC := ec.codec.(*VCC)
 			for trial := 0; trial < 400; trial++ {
-				setTableMode(&sc, trial%3)
 				ctx := equivCtx(rng, ec.n, ec.mlcPlane)
 				data := rng.Uint64() & bitutil.Mask(ec.n)
 				for _, obj := range equivObjectives {
@@ -234,6 +222,10 @@ func TestFastEncodeMatchesReference(t *testing.T) {
 						fastEnc, fastAux = fc.EncodeSliced(data, evFast, &sc)
 					} else {
 						fastEnc, fastAux = ec.codec.Encode(data, evFast)
+					}
+					if isVCC && (!sc.lineOK || sc.lane == 0) {
+						t.Fatalf("trial %d obj %v ctx %+v: encode bound no lane geometry (lineOK %v, lane %d)",
+							trial, obj, ctx, sc.lineOK, sc.lane)
 					}
 					refEnc, refAux := referenceEncode(ec.codec, data, evRef)
 					if fastEnc != refEnc || fastAux != refAux {
@@ -330,31 +322,26 @@ func TestSlicedFallsBackToReference(t *testing.T) {
 	}
 
 	// An MLCPlane context whose Mode is SLC: the reference counts SLC
-	// bits on the plane, which neither scan's plane layout prices, so
-	// Bind must refuse in every table mode and Encode must match the
-	// reference.
+	// bits on the plane, which the lane scan's plane layout does not
+	// price, so Bind must refuse and Encode must match the reference.
 	gen := NewVCCGenerated(16, 256)
 	for trial := 0; trial < 60; trial++ {
 		ctx := equivCtx(rng, 32, true)
 		ctx.Mode = pcm.SLC
 		data := rng.Uint64() & bitutil.Mask(32)
-		for mode := 0; mode < 3; mode++ {
-			setTableMode(&sc, mode)
-			for _, obj := range equivObjectives {
-				ev := NewEvaluator(ctx, obj)
-				if sc.Bind(ev, 16) {
-					t.Fatalf("table mode %d: Bind should refuse an SLC-mode MLCPlane context", mode)
-				}
-				fe, fa := gen.EncodeSliced(data, ev, &sc)
-				re, ra := gen.EncodeRef(data, NewEvaluator(ctx, obj))
-				if fe != re || fa != ra {
-					t.Fatalf("table mode %d obj %v: SLC-plane fallback diverged: (%#x,%#x) vs (%#x,%#x)",
-						mode, obj, fe, fa, re, ra)
-				}
+		for _, obj := range equivObjectives {
+			ev := NewEvaluator(ctx, obj)
+			if sc.Bind(ev, 16) {
+				t.Fatal("Bind should refuse an SLC-mode MLCPlane context")
+			}
+			fe, fa := gen.EncodeSliced(data, ev, &sc)
+			re, ra := gen.EncodeRef(data, NewEvaluator(ctx, obj))
+			if fe != re || fa != ra {
+				t.Fatalf("obj %v: SLC-plane fallback diverged: (%#x,%#x) vs (%#x,%#x)",
+					obj, fe, fa, re, ra)
 			}
 		}
 	}
-	setTableMode(&sc, 0)
 }
 
 // TestRawLiteralEvaluatorSelfHeals pins the raw-literal escape hatch:
@@ -386,10 +373,8 @@ func TestRawLiteralEvaluatorSelfHeals(t *testing.T) {
 
 // TestSlicedCtxPartCostMatchesPart checks the low-level contract
 // directly: PartCost(j, v) must equal Part(v<<(j*m), j, m) bit-for-bit
-// on random contexts, for every partition, objective and table mode —
-// the invariant the whole fast path is built on. PartCostPair must agree
-// with two PartCost calls (its fused table walk reads the packed
-// complement halves, a genuinely different code path).
+// on random contexts, for every partition and objective — the invariant
+// FNW's sliced encode is built on.
 func TestSlicedCtxPartCostMatchesPart(t *testing.T) {
 	rng := prng.New(0xC057)
 	var sc SlicedCtx
@@ -405,40 +390,114 @@ func TestSlicedCtxPartCostMatchesPart(t *testing.T) {
 				continue
 			}
 			for _, obj := range equivObjectives {
-				for mode := 0; mode < 3; mode++ {
-					setTableMode(&sc, mode)
-					ev := NewEvaluator(ctx, obj)
-					if !sc.Bind(ev, m) {
-						t.Fatalf("Bind failed for supported config n=%d m=%d", n, m)
+				ev := NewEvaluator(ctx, obj)
+				if !sc.Bind(ev, m) {
+					t.Fatalf("Bind failed for supported config n=%d m=%d", n, m)
+				}
+				for j := 0; j < n/m; j++ {
+					v := rng.Uint64() & bitutil.Mask(m)
+					got := sc.PartCost(j, v)
+					want := ev.Part(v<<uint(j*m), j, m)
+					if got != want {
+						t.Fatalf("PartCost(%d,%#x) m=%d obj=%v = %+v, want %+v",
+							j, v, m, obj, got, want)
 					}
-					for j := 0; j < n/m; j++ {
-						v := rng.Uint64() & bitutil.Mask(m)
-						got := sc.PartCost(j, v)
-						want := ev.Part(v<<uint(j*m), j, m)
-						if got != want {
-							t.Fatalf("PartCost(%d,%#x) m=%d obj=%v mode=%d = %+v, want %+v",
-								j, v, m, obj, mode, got, want)
-						}
-						gotV, gotC := sc.PartCostPair(j, v)
-						wantC := ev.Part((v^bitutil.Mask(m))<<uint(j*m), j, m)
-						if gotV != want || gotC != wantC {
-							t.Fatalf("PartCostPair(%d,%#x) m=%d obj=%v mode=%d = (%+v,%+v), want (%+v,%+v)",
-								j, v, m, obj, mode, gotV, gotC, want, wantC)
-						}
-					}
-					// And the aux table against the reference switch.
-					for b := 0; b < 16; b++ {
-						for val := uint64(0); val < 2; val++ {
-							if got, want := sc.AuxBit(b, val), ev.AuxBit(b, val); got != want {
-								t.Fatalf("AuxBit(%d,%d) = %+v, want %+v", b, val, got, want)
-							}
+				}
+				// And the aux table against the reference switch.
+				for b := 0; b < 16; b++ {
+					for val := uint64(0); val < 2; val++ {
+						if got, want := sc.AuxBit(b, val), ev.AuxBit(b, val); got != want {
+							t.Fatalf("AuxBit(%d,%d) = %+v, want %+v", b, val, got, want)
 						}
 					}
 				}
 			}
 		}
 	}
-	setTableMode(&sc, 0)
+}
+
+// TestVCCGenEncodeSlicedAllocFree is the package-local half of the
+// steady-state 0-alloc guard (the engine-level half is
+// shard.TestApplySteadyStateAllocsSlicedEncoders): rebinding a warm
+// SlicedCtx and running the VCC-Gen(16,256) energy+SAW encode must not
+// allocate, even as the rotating contexts compose fresh kernel images on
+// every word and occasionally bring a fresh energy model, which rebuilds
+// the etab cache.
+func TestVCCGenEncodeSlicedAllocFree(t *testing.T) {
+	rng := prng.New(0xA110C)
+	const ringLen = 8
+	var ctxs [ringLen]Ctx
+	var data [ringLen]uint64
+	for i := range ctxs {
+		ctxs[i] = equivCtx(rng, 32, true)
+		data[i] = rng.Uint64() & 0xFFFFFFFF
+	}
+	codec := NewVCCGenerated(16, 256)
+	ev := NewEvaluator(ctxs[0], ObjEnergySAW)
+	var sc SlicedCtx
+	run := func() {
+		for i := range ctxs {
+			ev.Reset(ctxs[i], ObjEnergySAW)
+			codec.EncodeSliced(data[i], ev, &sc)
+		}
+	}
+	run() // warm: the codec's search scratch is built lazily
+	if sc.lane == 0 {
+		t.Fatal("VCC-Gen(16,256) bound no lane geometry")
+	}
+	if avg := testing.AllocsPerRun(50, run); avg != 0 {
+		t.Errorf("steady-state bind+encode allocated %.2f times per ring pass, want 0", avg)
+	}
+}
+
+// TestBindLineRebindAllocFree pins the line-scoped bind contract: after
+// one successful BindLine, same-configuration BindFor calls must take
+// the warm fingerprint path — one fastRebinds increment per word, no
+// allocations — while still re-slicing each word's context. This is the
+// controller's per-line pattern (8 words, one fingerprint).
+func TestBindLineRebindAllocFree(t *testing.T) {
+	rng := prng.New(0xB11D)
+	const ringLen = 8
+	var ctxs [ringLen]Ctx
+	for i := range ctxs {
+		ctxs[i] = equivCtx(rng, 64, false)
+		// Hold the word-invariant fingerprint fields fixed across the
+		// ring; everything per-word (old word, stuck cells, old aux)
+		// stays randomized.
+		ctxs[i].Mode = pcm.SLC
+		ctxs[i].Energy = pcm.EnergyModel{}
+	}
+	ev := NewEvaluator(ctxs[0], ObjEnergySAW)
+	var sc SlicedCtx
+	const kernels = 64 // an r=64 kernel set, as VCC-Gen(16,256) declares
+	if !sc.BindLine(ev, 16, kernels) {
+		t.Fatal("BindLine refused a supported configuration")
+	}
+	run := func() {
+		for i := range ctxs {
+			ev.Reset(ctxs[i], ObjEnergySAW)
+			if !sc.BindFor(ev, 16, kernels) {
+				t.Fatal("BindFor refused the bound-line configuration")
+			}
+		}
+	}
+	before := sc.fastRebinds
+	run()
+	if got := sc.fastRebinds - before; got != ringLen {
+		t.Errorf("warm ring pass took %d fast rebinds, want %d", got, ringLen)
+	}
+	if avg := testing.AllocsPerRun(50, run); avg != 0 {
+		t.Errorf("warm BindFor ring pass allocated %.2f times, want 0", avg)
+	}
+	// A changed objective must miss the fingerprint and rebind cold.
+	before = sc.fastRebinds
+	ev.Reset(ctxs[0], ObjFlips)
+	if !sc.BindFor(ev, 16, kernels) {
+		t.Fatal("BindFor refused an objective change")
+	}
+	if sc.fastRebinds != before {
+		t.Error("objective change incorrectly took the warm fingerprint path")
+	}
 }
 
 // FuzzEncodeEquivalence fuzzes the fast path against the reference
@@ -450,12 +509,14 @@ func FuzzEncodeEquivalence(f *testing.F) {
 	f.Add(uint64(0xDEADBEEFCAFEF00D), uint64(0x0123456789ABCDEF), uint64(0xFFFFFFFF),
 		uint64(0xF0F0F0F0F0F0F0F0), uint64(0x5555555555555555), uint64(0xAB), uint8(2), uint8(1))
 	f.Add(^uint64(0), uint64(1), uint64(2), uint64(3), uint64(4), uint64(5), uint8(3), uint8(6))
-	// Seeds pinning the forced-table and table-disabled pricing paths
-	// (codecSel bits 6-7 select the table mode below).
+	// Seeds pinning VCC-Gen(16,256) under energy+SAW, whose lane scan
+	// composes each kernel's image from per-codec tiles and per-word
+	// bases: once cold, and once followed by the warm line-bind re-encode
+	// (objSel bit 4), which must skip the word-invariant bind layer.
 	f.Add(uint64(0xABCDEF), uint64(0x1234), uint64(0x5678), uint64(0xFF00FF),
-		uint64(0xF000F0), uint64(0x3C), uint8(2), uint8(0x40|3))
+		uint64(0xF000F0), uint64(0x3C), uint8(2), uint8(3))
 	f.Add(uint64(0xABCDEF), uint64(0x1234), uint64(0x5678), uint64(0xFF00FF),
-		uint64(0xF000F0), uint64(0x3C), uint8(2), uint8(0x80|3))
+		uint64(0xF000F0), uint64(0x3C), uint8(0x10|2), uint8(3))
 	// Seed pinning the warm line-bind re-encode (objSel bit 4) on the
 	// stored-kernel codec, whose fast scan the warm path feeds.
 	f.Add(uint64(0x5CC5CC), uint64(0x9999), uint64(0x1111), uint64(0xF0F0),
@@ -475,10 +536,6 @@ func FuzzEncodeEquivalence(f *testing.F) {
 		objSel, codecSel uint8) {
 		ec := codecs[int(codecSel)%len(codecs)]
 		obj := equivObjectives[int(objSel)%len(equivObjectives)]
-		// codecSel's high bits are spare entropy (13 codecs fit in the low
-		// six); they steer the nibble-table toggles so the fuzzer hunts
-		// across table-driven, direct, and threshold-decided pricing.
-		setTableMode(&sc, int(codecSel>>6)%3)
 		mode := pcm.MLC
 		if objSel&4 != 0 && !ec.mlcPlane {
 			mode = pcm.SLC

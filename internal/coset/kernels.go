@@ -91,15 +91,8 @@ type GeneratedKernels struct {
 	// pure XORs of base vectors against them.
 	tiled []uint64
 	// scratch avoids a per-word allocation; Kernels returns this slice,
-	// valid until the next call. lastLeft/warm memoize the left plane
-	// the scratch currently expands — the cross-word kernel-expansion
-	// cache: consecutive words sharing a left plane (zero fills, memset
-	// patterns, rewrites of the same word) reuse the expansion instead
-	// of recomputing r XORs. Callers never mutate the returned slice
-	// (it is the codec-facing kernel set), so the memo cannot go stale.
-	scratch  []uint64
-	lastLeft uint64
-	warm     bool
+	// valid until the next call.
+	scratch []uint64
 }
 
 // NewGeneratedKernels builds an Algorithm 2 generator producing r kernels
@@ -132,9 +125,6 @@ func NewGeneratedKernels(l, m, r int) *GeneratedKernels {
 // Kernels implements KernelSource. Kernel index k maps to base vector
 // k%b and mask k/b, matching Algorithm 2's R_{i*b+j} = M_i XOR base_j.
 func (g *GeneratedKernels) Kernels(left uint64) []uint64 {
-	if g.warm && left == g.lastLeft {
-		return g.scratch
-	}
 	mk := bitutil.Mask(g.m)
 	for i, tiled := range g.tiled {
 		rest := left
@@ -143,7 +133,6 @@ func (g *GeneratedKernels) Kernels(left uint64) []uint64 {
 			rest >>= uint(g.m)
 		}
 	}
-	g.lastLeft, g.warm = left, true
 	return g.scratch
 }
 

@@ -139,9 +139,8 @@ func (sc *SlicedCtx) bindLanes() {
 		sc.cells = L / 2
 		sc.cellMask, sc.cellShift = 0x5555555555555555, 1
 	}
-	sc.etabFits = sc.cells < 64
 	sc.lane = 0
-	if !sc.etabFits || L < 8 || L&(L-1) != 0 {
+	if sc.cells >= 64 || L < 8 || L&(L-1) != 0 {
 		return
 	}
 	sc.lane = uint(L)
@@ -216,17 +215,39 @@ func wholePJ(c float64) (uint64, bool) {
 	return uint64(c), true
 }
 
-// laneImages returns every kernel tiled across the p partitions in the
-// bound context's word coordinates. A stored ROM's images are computed
-// once, at construction; a generated set is tiled per word into the
-// codec's scratch.
-func (c *VCC) laneImages(kernels []uint64, plane bool) []uint64 {
-	if c.storedTiled != nil {
+// laneImages returns every kernel of the word's set tiled across the p
+// partitions in the bound context's word coordinates. A stored ROM's
+// images are computed once, at construction. A generated set's kernel
+// i*b+j is tile_i ^ base_j (Algorithm 2), and tiling and SpreadEven are
+// linear, so its image is genTiled[i] (fixed per codec) XOR the image of
+// base j, of which the word has only b. Any other set is tiled kernel by
+// kernel into the codec's scratch.
+func (c *VCC) laneImages(left uint64, plane bool) []uint64 {
+	switch {
+	case c.storedTiled != nil:
 		if plane {
 			return c.storedSpread
 		}
 		return c.storedTiled
+	case c.gen != nil:
+		tiles, b := c.genTiled, c.gen.b
+		if plane {
+			tiles = c.genSpread
+		}
+		mk := bitutil.Mask(c.m)
+		img := c.laneImg
+		for j := 0; j < b; j++ {
+			base := (left >> (uint(j*c.m) & 63) & mk) * c.repMul
+			if plane {
+				base = bitutil.SpreadEven(base)
+			}
+			for i, t := range tiles {
+				img[i*b+j] = t ^ base
+			}
+		}
+		return img
 	}
+	kernels := c.src.Kernels(left)
 	img := c.laneImg[:len(kernels)]
 	for i, k := range kernels {
 		if plane {
@@ -240,9 +261,11 @@ func (c *VCC) laneImages(kernels []uint64, plane bool) []uint64 {
 
 // encodeLanes is the lane scan over the kernels of one word; sc must be
 // bound with a nonzero lane. Lanes of at least 8 bits leave at most 8
-// partitions, so the codec's tiling plan (flagTab, storedTiled) exists.
-func (c *VCC) encodeLanes(d uint64, kernels []uint64, sc *SlicedCtx) (uint64, uint64) {
-	imgs := c.laneImages(kernels, sc.mlcPlane)
+// partitions, so the codec's tiling plan (repMul, flagTab and the image
+// arrays) exists. The winner's tiled kernel is its image, gathered back
+// off the right digits on the MLC plane.
+func (c *VCC) encodeLanes(d, left uint64, sc *SlicedCtx) (uint64, uint64) {
+	imgs := c.laneImages(left, sc.mlcPlane)
 	base := d
 	if sc.mlcPlane {
 		base = sc.wLeft | bitutil.SpreadEven(d)
@@ -257,7 +280,11 @@ func (c *VCC) encodeLanes(d uint64, kernels []uint64, sc *SlicedCtx) (uint64, ui
 	default:
 		best, flags = c.laneScanEnergy(base, imgs, sc)
 	}
-	return d ^ kernels[best]*c.repMul ^ c.flagTab[flags], uint64(best)<<uint(c.p) | flags
+	tiled := imgs[best]
+	if sc.mlcPlane {
+		tiled = bitutil.CompressEven(tiled)
+	}
+	return d ^ tiled ^ c.flagTab[flags], uint64(best)<<uint(c.p) | flags
 }
 
 // laneScanCounts prices the integer objectives: changed cells (flips) or

@@ -2,7 +2,6 @@ package coset
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"repro/internal/bitutil"
@@ -43,15 +42,21 @@ type VCC struct {
 	// flagTab maps the p flag bits to the full-plane complement mask they
 	// select. storedTiled caches the ROM kernels pre-tiled, and
 	// storedSpread the same images spread onto the right digits of an MLC
-	// word (planes of at most 32 bits only); laneImg is the lane scan's
-	// per-word scratch for the images of a generated set. kat answers
-	// single generated kernels without expanding the set. flagTab == nil
-	// (p too wide for the table) disables all of it and DecodeWords falls
-	// back to Decode; no lane geometry has that many partitions.
+	// word (planes of at most 32 bits only). For an Algorithm 2 source
+	// (gen), genTiled and genSpread hold its masks tiled the same two
+	// ways, from which laneImages composes every kernel's image. laneImg
+	// is the lane scan's per-word scratch for the images of a non-stored
+	// set. kat answers single non-stored kernels without expanding the
+	// set. flagTab == nil (p too wide for the table) disables all of it
+	// and DecodeWords falls back to Decode; no lane geometry has that many
+	// partitions.
 	repMul       uint64
 	flagTab      []uint64
 	storedTiled  []uint64
 	storedSpread []uint64
+	gen          *GeneratedKernels
+	genTiled     []uint64
+	genSpread    []uint64
 	laneImg      []uint64
 	kat          KernelAtSource
 }
@@ -85,25 +90,36 @@ func NewVCC(n int, src KernelSource) *VCC {
 			c.flagTab[f] = c.flagTab[f&(f-1)] | mMask<<(low*uint(m))
 		}
 		if src.Stored() {
-			ks := src.Kernels(0)
-			c.storedTiled = make([]uint64, len(ks))
-			for i, k := range ks {
-				c.storedTiled[i] = k * c.repMul
-			}
-			if n <= 32 {
-				c.storedSpread = make([]uint64, len(ks))
-				for i, t := range c.storedTiled {
-					c.storedSpread[i] = bitutil.SpreadEven(t)
-				}
-			}
+			c.storedTiled, c.storedSpread = c.tile(src.Kernels(0))
 		} else {
 			c.laneImg = make([]uint64, src.NumKernels())
 			if ka, ok := src.(KernelAtSource); ok {
 				c.kat = ka
 			}
+			if g, ok := src.(*GeneratedKernels); ok {
+				c.gen = g
+				c.genTiled, c.genSpread = c.tile(g.tiled)
+			}
 		}
 	}
 	return c
+}
+
+// tile returns the m-bit values ks tiled across the p partitions and,
+// on planes of at most 32 bits, the same images spread onto the right
+// digits of an MLC word.
+func (c *VCC) tile(ks []uint64) (tiled, spread []uint64) {
+	tiled = make([]uint64, len(ks))
+	for i, k := range ks {
+		tiled[i] = k * c.repMul
+	}
+	if c.n <= 32 {
+		spread = make([]uint64, len(ks))
+		for i, t := range tiled {
+			spread[i] = bitutil.SpreadEven(t)
+		}
+	}
+	return tiled, spread
 }
 
 // NewVCCStored is shorthand for the paper's VCC(n, N, r) with a kernel
@@ -219,246 +235,24 @@ func (c *VCC) EncodeRef(data uint64, ev *Evaluator) (uint64, uint64) {
 
 // EncodeSliced implements FastCodec: Algorithm 1 priced through the
 // sliced write context sc (rebound here; the caller only provides the
-// reusable storage). One rule on the bound context picks the scan:
-//
-//   - the table scan (encodeTables) when BindFor bound nibble tables —
-//     energy+SAW with at least nibTableMinPrices prices per nibble group,
-//     i.e. r >= 32 kernels at m=16 — and its guards hold (partitions of
-//     fewer than 64 cells, nonnegative finite coefficients). There its
-//     prune after the first partition skips most kernels' remaining
-//     work;
-//   - otherwise the lane scan (encodeLanes), which prices all p
-//     partitions of a kernel in both orientations in one 64-bit word,
-//     for every objective and lane geometry: under the energy objectives
-//     on integer keys when BindLine found both coefficients whole and
-//     the keys fit the lanes (bindKeys), on float energies otherwise;
-//   - otherwise EncodeRef.
-//
-// Both scans are bit-identical to EncodeRef (TestFastEncodeMatchesReference
-// and FuzzEncodeEquivalence hold them to it, ForceTables and
-// DisableTables steering each context through both).
+// reusable storage). When the bind found a lane geometry it runs the lane
+// scan (encodeLanes), which prices all p partitions of a kernel in both
+// orientations in one 64-bit word, for every objective: under the energy
+// objectives on integer keys when BindLine found both coefficients whole
+// and the keys fit the lanes (bindKeys), on float energies otherwise.
+// Every other context runs EncodeRef. The scan is bit-identical to
+// EncodeRef (TestFastEncodeMatchesReference and FuzzEncodeEquivalence
+// hold it to it).
 func (c *VCC) EncodeSliced(data uint64, ev *Evaluator, sc *SlicedCtx) (uint64, uint64) {
 	// A context whose plane width disagrees with the codec's would slice
 	// into partitions the search does not iterate; the reference path
 	// defines the (degenerate) semantics of that misuse, so defer to it.
-	// The bind is told the kernel count r: each kernel prices both
-	// complements of every partition (2r prices per partition), and the
-	// kernel index takes log2(r) aux bits.
-	if ev.Ctx.N != c.n || !sc.BindFor(ev, c.m, c.src.NumKernels()) {
+	// The bind is told the kernel count r, whose index takes log2(r) aux
+	// bits.
+	if ev.Ctx.N != c.n || !sc.BindFor(ev, c.m, c.src.NumKernels()) || sc.lane == 0 {
 		return c.EncodeRef(data, ev)
 	}
-	d := data & bitutil.Mask(c.n)
-	kernels := c.src.Kernels(ev.Ctx.NewLeft)
-	switch {
-	case sc.tabOK && sc.etabFits && sc.nonneg:
-		return c.encodeTables(d, kernels, sc)
-	case sc.lane != 0:
-		return c.encodeLanes(d, kernels, sc)
-	default:
-		return c.EncodeRef(data, ev)
-	}
-}
-
-// encodeTables is EncodeSliced's table scan: nibble tables bound,
-// ObjEnergySAW with nonnegative cell energies, and a kernel set large
-// enough (r >= 32 at m=16) that pruning pays. It runs one lazy pass in
-// kernel order: each partition of a kernel is priced on demand (one
-// fused table walk yields both orientations' packed counts; the energy
-// multiply-accumulate is memoized per count pair in sc.etab) and the
-// kernel is abandoned the moment its partial cost plus the remaining
-// partitions' aux-cost floor cannot beat the incumbent. Pruned kernels
-// therefore never touch their remaining partitions at all, and nothing
-// is ever staged in memory.
-//
-// Bit-identity with EncodeRef: the per-partition decision compares the
-// identical c0/c1 float values (same MAC expression shape, term for
-// term, same evaluation order) with the SAW tie-break on raw integer
-// counts (int -> float64 is monotone and exact in this range, and aux
-// Pairs under ObjEnergySAW carry zero Secondary, so the SAW component
-// of any candidate sum is exactly float64 of its integer count); the
-// kernel total accumulates in the reference's partition order; and the
-// incumbent updates on the reference's exact comparison in the
-// reference's kernel order. The orientation select works on IEEE bit
-// patterns: candidate energies are nonnegative finite floats (the
-// dispatch guard), for which Float64bits is monotone and injective, so
-// the lexicographic (energy, SAW) comparison and the value select run as
-// integer mask algebra (lexLess) — the chosen value is bit-identical to
-// the branchy compare's, with no 50/50 data-dependent branch in the loop
-// body. Pruning uses pruneThreshold against a sound lower bound of the
-// remaining cost (energies are nonnegative and each remaining aux bit
-// costs at least its cheaper value), so no kernel that could have
-// updated the incumbent is ever skipped.
-func (c *VCC) encodeTables(d uint64, kernels []uint64, sc *SlicedCtx) (uint64, uint64) {
-	q := len(kernels)
-	mMask := bitutil.Mask(c.m)
-	groups := sc.groups
-	auxBits := c.AuxBits()
-	nb := auxBits - c.p
-	etab := &sc.etab
-
-	// Hoisted per-partition state: sub-blocks, flag aux-bit costs, and
-	// the suffix floors suff[j] = sum of min aux cost over partitions
-	// j..p-1 plus the index-bit floor.
-	var djv [maxSlices]uint64
-	var a0, a1 [maxSlices]float64
-	var suff [maxSlices + 1]float64
-	for j := 0; j < c.p; j++ {
-		djv[j] = bitutil.SubBlock(d, j, c.m)
-		a0[j] = sc.AuxBit(j, 0).Primary
-		a1[j] = sc.AuxBit(j, 1).Primary
-	}
-	// idxP caches the kernel-index aux-bit costs per bit value, so
-	// surviving kernels fold their index bits with one indexed load each.
-	var idxP [2][16]float64
-	useIdxTab := nb <= len(idxP[0])
-	idxFloorP := 0.0
-	for b := 0; b < nb; b++ {
-		f0 := sc.AuxBit(c.p+b, 0).Primary
-		f1 := sc.AuxBit(c.p+b, 1).Primary
-		if useIdxTab {
-			idxP[0][b], idxP[1][b] = f0, f1
-		}
-		if f1 < f0 {
-			f0 = f1
-		}
-		idxFloorP += f0
-	}
-	suff[c.p] = idxFloorP
-	for j := c.p - 1; j >= 0; j-- {
-		af := a0[j]
-		if a1[j] < af {
-			af = a1[j]
-		}
-		suff[j] = af + suff[j+1]
-	}
-
-	var bestEnc, bestAux uint64
-	var bestP float64
-	var bestSaw uint64
-	var threshP float64
-	if c.p == 2 && groups == 4 {
-		// The headline geometry (n=32, m=16, MLC plane): both partition
-		// evaluations unrolled with every loop-invariant in a register.
-		t40 := sc.nibTab[0:64]
-		t41 := sc.nibTab[64:128]
-		d0, d1 := djv[0], djv[1]
-		a00, a10 := a0[0], a1[0]
-		a01, a11 := a0[1], a1[1]
-		suff1, suff2 := suff[1], suff[2]
-		shm := uint(c.m)
-		for i := 0; i < q; i++ {
-			k := kernels[i]
-			y0 := d0 ^ k
-			acc := t40[y0&0xF] + t40[16+(y0>>4&0xF)] +
-				t40[32+(y0>>8&0xF)] + t40[48+(y0>>12&0xF)]
-			acc0 := uint32(acc)
-			acc1 := uint32(acc >> 32)
-			b0 := math.Float64bits(etab[(acc0&0x3F)|(acc0>>2&0xFC0)] + a00)
-			b1 := math.Float64bits(etab[(acc1&0x3F)|(acc1>>2&0xFC0)] + a10)
-			saw0 := uint64(acc0 >> 16)
-			saw1 := uint64(acc1 >> 16)
-			w := lexLess(b1, b0, saw1, saw0)
-			cp := math.Float64frombits(b0 ^ (b0^b1)&w)
-			enc := y0 ^ (mMask & w)
-			flags := w & 1
-			saw := saw0 ^ ((saw0 ^ saw1) & w)
-			if i > 0 && cp+suff1 > threshP {
-				continue
-			}
-			y1 := d1 ^ k
-			acc = t41[y1&0xF] + t41[16+(y1>>4&0xF)] +
-				t41[32+(y1>>8&0xF)] + t41[48+(y1>>12&0xF)]
-			acc0 = uint32(acc)
-			acc1 = uint32(acc >> 32)
-			b0 = math.Float64bits(etab[(acc0&0x3F)|(acc0>>2&0xFC0)] + a01)
-			b1 = math.Float64bits(etab[(acc1&0x3F)|(acc1>>2&0xFC0)] + a11)
-			saw0 = uint64(acc0 >> 16)
-			saw1 = uint64(acc1 >> 16)
-			w = lexLess(b1, b0, saw1, saw0)
-			cp += math.Float64frombits(b0 ^ (b0^b1)&w)
-			enc |= (y1 ^ (mMask & w)) << shm
-			flags |= (w & 1) << 1
-			saw += saw0 ^ ((saw0 ^ saw1) & w)
-			if i > 0 && cp+suff2 > threshP {
-				continue
-			}
-			if useIdxTab {
-				for b := 0; b < nb; b++ {
-					cp += idxP[uint64(i)>>uint(b)&1][b]
-				}
-			} else {
-				for b := c.p; b < auxBits; b++ {
-					cp += sc.AuxBit(b, uint64(i)>>uint(b-c.p)&1).Primary
-				}
-			}
-			if i == 0 || cp < bestP || (cp == bestP && saw < bestSaw) {
-				bestEnc = enc
-				bestAux = uint64(i)<<2 | flags
-				bestP, bestSaw = cp, saw
-				threshP = pruneThreshold(bestP)
-			}
-		}
-		return bestEnc, bestAux
-	}
-	for i := 0; i < q; i++ {
-		k := kernels[i]
-		var enc, flags, saw uint64
-		var cp float64
-		pruned := false
-		for j := 0; j < c.p; j++ {
-			y0 := djv[j] ^ k
-			var acc uint64
-			if groups == 4 {
-				// The dominant geometry (m=16): four independent loads
-				// from a bounds-check-free 64-entry window.
-				t4 := sc.nibTab[j*64:][:64]
-				acc = t4[y0&0xF] + t4[16+(y0>>4&0xF)] +
-					t4[32+(y0>>8&0xF)] + t4[48+(y0>>12&0xF)]
-			} else {
-				row := sc.nibTab[j*groups*16:]
-				v := y0
-				for g := 0; g < groups; g++ {
-					acc += row[v&0xF]
-					row = row[16:]
-					v >>= 4
-				}
-			}
-			acc0 := uint32(acc)
-			acc1 := uint32(acc >> 32)
-			b0 := math.Float64bits(etab[(acc0&0x3F)|(acc0>>2&0xFC0)] + a0[j])
-			b1 := math.Float64bits(etab[(acc1&0x3F)|(acc1>>2&0xFC0)] + a1[j])
-			saw0 := uint64(acc0 >> 16)
-			saw1 := uint64(acc1 >> 16)
-			w := lexLess(b1, b0, saw1, saw0)
-			cp += math.Float64frombits(b0 ^ (b0^b1)&w)
-			enc |= (y0 ^ mMask&w) << (uint(j*c.m) & 63)
-			flags |= (w & 1) << (uint(j) & 63)
-			saw += saw0 ^ (saw0^saw1)&w
-			if i > 0 && cp+suff[j+1] > threshP {
-				pruned = true
-				break
-			}
-		}
-		if pruned {
-			continue
-		}
-		if useIdxTab {
-			for b := 0; b < nb; b++ {
-				cp += idxP[uint64(i)>>uint(b)&1][b]
-			}
-		} else {
-			for b := c.p; b < auxBits; b++ {
-				cp += sc.AuxBit(b, uint64(i)>>uint(b-c.p)&1).Primary
-			}
-		}
-		if i == 0 || cp < bestP || (cp == bestP && saw < bestSaw) {
-			bestEnc = enc
-			bestAux = uint64(i)<<uint(c.p) | flags
-			bestP, bestSaw = cp, saw
-			threshP = pruneThreshold(bestP)
-		}
-	}
-	return bestEnc, bestAux
+	return c.encodeLanes(data&bitutil.Mask(c.n), ev.Ctx.NewLeft, sc)
 }
 
 // Decode implements Codec: the inverse is a single XOR/XNOR per

@@ -228,11 +228,10 @@ type Controller struct {
 	// fast path (detected once at construction); sliced is the
 	// controller-owned write context it rebinds per word, reused across
 	// the eight words of a line and across lines without a heap
-	// allocation. The context carries the nibble-table storage (~40KB:
-	// the per-partition count tables plus the energy multiply-accumulate
-	// cache) as fixed arrays, so embedding it by value keeps the whole
-	// rebind cycle — the per-word bind, table construction, etab reuse
-	// across energy-model-stable rebinds — inside one controller-owned
+	// allocation. The context carries the 32KB energy multiply-accumulate
+	// table (etab) as a fixed array, so embedding it by value keeps the
+	// whole rebind cycle — the per-word bind, etab reuse across
+	// energy-model-stable rebinds — inside one controller-owned
 	// allocation made at New.
 	fast   coset.FastCodec
 	sliced coset.SlicedCtx

@@ -106,10 +106,8 @@ func (e EnergyModel) MLCWordEnergyExpandedMask(old, new, expMask uint64) float64
 // new over old across every MLC cell the operands carry: high is the
 // number of changed symbols programmed into an intermediate state (new
 // right digit 1), low the remaining changed symbols. It is the counting
-// core of MLCWordEnergyAll, exposed so the coset nibble-count tables can
-// accumulate the same integers per 4-symbol group and defer the
-// multiply-accumulate to MLCEnergyFromCounts — keeping table-driven and
-// direct pricing bit-identical by construction.
+// core of MLCWordEnergyAll, which folds the counts through
+// MLCEnergyFromCounts.
 func MLCWordCounts(old, new uint64) (high, low int) {
 	d := old ^ new
 	// Bit 2k of changed is set iff symbol k differs; bit 2k of new is the
@@ -120,29 +118,13 @@ func MLCWordCounts(old, new uint64) (high, low int) {
 	return high, low
 }
 
-// SLCWordCounts returns the exact integer SET (0→1) and RESET (1→0)
-// counts of writing new over old treating every bit as one SLC cell —
-// the counting core of SLCWordEnergy, split out for the same
-// table-accumulation reason as MLCWordCounts.
-func SLCWordCounts(old, new uint64) (sets, resets int) {
-	d := old ^ new
-	sets = bits.OnesCount64(d & new)
-	resets = bits.OnesCount64(d &^ new)
-	return sets, resets
-}
-
-// MLCEnergyFromCounts is the canonical high/low multiply-accumulate. All
-// MLC energy paths (masked, unmasked, nibble-table) must fold their
-// counts through this one expression: float64 addition is not
-// associative, so sharing the expression is what makes exact integer
-// counts imply bit-identical energies.
+// MLCEnergyFromCounts is the canonical high/low multiply-accumulate.
+// Every MLC energy path, and the coset encoder's energy table, computes
+// exactly this expression: float64 addition is not associative, so
+// sharing the expression is what makes exact integer counts imply
+// bit-identical energies.
 func (e EnergyModel) MLCEnergyFromCounts(high, low int) float64 {
 	return float64(high)*e.MLCHighPJ + float64(low)*e.MLCLowPJ
-}
-
-// SLCEnergyFromCounts is the SLC counterpart of MLCEnergyFromCounts.
-func (e EnergyModel) SLCEnergyFromCounts(sets, resets int) float64 {
-	return float64(sets)*e.SLCSetPJ + float64(resets)*e.SLCResetPJ
 }
 
 // MLCWordEnergyAll prices every cell of the old→new transition with no

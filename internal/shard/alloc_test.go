@@ -21,12 +21,12 @@ import (
 // candidates out of the controller-owned SlicedCtx (rebinding through
 // the line-scoped fingerprint), and reads decode through the batched
 // DecodeWords fast path (all three codecs implement LineDecoder).
-// VCC-Generated is the teeth of the write-side guard: its BindFor hint
-// rebuilds the nibble count tables (and on an energy objective the etab
-// cache) on every word, so steady-state table construction is proven
-// allocation-free, not just assumed — the tables are fixed arrays owned
-// by the SlicedCtx, overwritten in place across rebinds. Read ops carry
-// preallocated destination buffers, matching a steady-state caller.
+// VCC-Generated is the teeth of the write-side guard: its lane scan
+// composes every kernel's image from the word's left digits on every
+// word, so that per-word work is proven allocation-free, not just
+// assumed — the images go into scratch the codec owns, overwritten in
+// place. Read ops carry preallocated destination buffers, matching a
+// steady-state caller.
 func TestApplySteadyStateAllocsSlicedEncoders(t *testing.T) {
 	codecs := []struct {
 		name string
