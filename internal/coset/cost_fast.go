@@ -69,20 +69,19 @@ type SlicedCtx struct {
 	// plane), or 0 when the lane scan cannot price the geometry; cells
 	// is the number of cells in it. pop counts bits per lane, sel
 	// compares and selects lanes, and foldFrom starts laneTotal at the
-	// lane width. A cell's change flag is (x | x>>cellShift) & cellMask:
-	// every bit on SLC, a symbol's right-digit bit with its left digit
-	// folded in on MLC. flipMask is the set of bits a complemented
-	// candidate flips (the plane's bits, or their right digits on the MLC
-	// plane) and wordMask the plane's bits in word coordinates.
-	lane      uint
-	cells     int
-	pop       lanePop
-	sel       laneSel
-	foldFrom  int
-	cellMask  uint64
-	cellShift uint
-	flipMask  uint64
-	wordMask  uint64
+	// lane width. flipMask is the set of bits a complemented candidate
+	// flips (the plane's bits, or their right digits on the MLC plane)
+	// and wordMask the plane's bits in word coordinates. The energy arms
+	// derive a word's counts by stuckKind when it has a known stuck cell
+	// and by freeKind otherwise.
+	lane                uint
+	cells               int
+	pop                 lanePop
+	sel                 laneSel
+	foldFrom            int
+	flipMask            uint64
+	wordMask            uint64
+	stuckKind, freeKind laneKind
 
 	// Integer energy keys, chosen by bindKeys: when intKeys is set the
 	// lane scan prices the energy objectives with laneScanKeys, the

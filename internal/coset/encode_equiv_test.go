@@ -153,7 +153,9 @@ var (
 // Table I's whole-picojoule MLC model and keeps the float arm for its SLC
 // model's fractional 13.5 and 19.2 pJ, a -0 coefficient, an infinite or
 // NaN one, a negative integer, and an integer too large for the keys.
-// Every case must also encode exactly as EncodeRef.
+// Every case must also encode exactly as EncodeRef, each context once as
+// drawn and once with its stuck cells cleared, which the arms price by
+// their stuck-free derivations (four counts on MLC, two on SLC).
 func TestLaneScanEnergyArm(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -179,15 +181,19 @@ func TestLaneScanEnergyArm(t *testing.T) {
 					ctx := equivCtx(rng, 64, false)
 					ctx.Mode, ctx.Energy = tc.mode, tc.energy
 					data := rng.Uint64()
-					fe, fa := codec.EncodeSliced(data, NewEvaluator(ctx, obj), &sc)
-					if sc.lane == 0 || sc.intKeys != tc.integer {
-						t.Fatalf("obj %v: lane %d intKeys %v, want the integer arm %v",
-							obj, sc.lane, sc.intKeys, tc.integer)
-					}
-					re, ra := codec.EncodeRef(data, NewEvaluator(ctx, obj))
-					if fe != re || fa != ra {
-						t.Fatalf("obj %v trial %d ctx %+v data %#x: fast (%#x,%#x) != ref (%#x,%#x)",
-							obj, trial, ctx, data, fe, fa, re, ra)
+					free := ctx
+					free.StuckMask, free.StuckVal = 0, 0
+					for _, ctx := range []Ctx{ctx, free} {
+						fe, fa := codec.EncodeSliced(data, NewEvaluator(ctx, obj), &sc)
+						if sc.lane == 0 || sc.intKeys != tc.integer {
+							t.Fatalf("obj %v: lane %d intKeys %v, want the integer arm %v",
+								obj, sc.lane, sc.intKeys, tc.integer)
+						}
+						re, ra := codec.EncodeRef(data, NewEvaluator(ctx, obj))
+						if fe != re || fa != ra {
+							t.Fatalf("obj %v trial %d ctx %+v data %#x: fast (%#x,%#x) != ref (%#x,%#x)",
+								obj, trial, ctx, data, fe, fa, re, ra)
+						}
 					}
 				}
 			}
@@ -529,6 +535,24 @@ func FuzzEncodeEquivalence(f *testing.F) {
 	// the stored-kernel codec's MLC integer keys.
 	f.Add(uint64(0x9E3779B97F4A7C15), uint64(0x243F6A8885A308D3), uint64(0x13198A2E),
 		uint64(0xC0C0C0C00F0F0F0F), uint64(0x4040404005050505), uint64(0x2A), uint8(0x20|2), uint8(0))
+	// Seeds pinning stuck-free words (a zero stuck mask), which the energy
+	// arms price by their shorter derivations, on the three encodes the
+	// benchmark workloads run: VCC-Gen(16,256) under energy+SAW (the
+	// MLC plane's two counts), the stored ROM under energy+SAW on MLC
+	// (four counts) and under SAW+energy on SLC (objSel bit 2; two
+	// counts).
+	f.Add(uint64(0x6A09E667), uint64(0xBB67AE853C6EF372), uint64(0xA54FF53A),
+		uint64(0), uint64(0), uint64(0x1B), uint8(2), uint8(3))
+	f.Add(uint64(0x510E527FADE682D1), uint64(0x9B05688C2B3E6C1F), uint64(0x1F83D9AB),
+		uint64(0), uint64(0), uint64(0x5BE0), uint8(2), uint8(0))
+	f.Add(uint64(0xCBBB9D5DC1059ED8), uint64(0x629A292A367CD507), uint64(0x9159015A),
+		uint64(0), uint64(0), uint64(0x7), uint8(4|3), uint8(0))
+	// Seed pinning a plane word whose only stuck cells are stuck left
+	// digits (objSel bit 3 keeps the raw odd-bit mask): no right digit is
+	// stuck, yet the word is not stuck-free, since a stuck left digit
+	// keeps its cell's stored value and can make SAW nonzero.
+	f.Add(uint64(0x152FECD8), uint64(0x67332667FFC00B31), uint64(0x8EB44A87),
+		uint64(0xAAAAAAAAAAAAAAAA), uint64(0x2882A0A822088A20), uint64(0x31), uint8(8|2), uint8(3))
 
 	codecs := equivCodecs()
 	var sc SlicedCtx

@@ -19,11 +19,34 @@ package coset
 // stuck-at-wrong) then come from a few ANDs, and a population count
 // stopped at L-bit lanes (the SWAR reduction of Warren, Hacker's Delight
 // §5-1, with the byte sums folded per lane by one multiply) yields every
-// partition's integer counts at once.
+// partition's integer counts at once. MLC cell masks hold only even
+// bits, so their counts start at the 2-bit fields (lanePop.fields).
+//
+// Stuck-free words. A word with no known stuck cell (SM = 0) has no SAW
+// in either orientation, and st = V, so the energy arms derive its
+// counts from fewer popcounts (laneWord picks the derivation per word).
+// Where a complement flips exactly one drive bit per cell — SLC, and the
+// right digits on the MLC plane — let s = V & F, o = old & F and e the
+// cells whose left digit changes, (old ^ left)>>1 & F on the plane and 0
+// on SLC; a cell changes in orientation 0 when it is in e or s and o
+// differ, and in orientation 1 when it is in e or they agree. With
+// M1 = F &^ o | e and M2 = o | e,
+//
+//	hi0 = pop(s & M1)    lo1 = pop(s & M2)
+//	lo0 = pop(M2) - lo1  hi1 = pop(M1) - hi0
+//
+// since a high-drive cell of orientation 0 (s set) changes exactly when
+// it is in M1, and a low-drive one (s clear) exactly when it is in M2;
+// orientation 1 swaps s for F &^ s. M1 and M2 lie within F, so s & M is
+// V & M. Two popcounts per kernel thus price the word, against six with
+// stuck cells. Full-word MLC complements both digits of a cell, which
+// has no such pair; its stuck-free words take four counts (high and low
+// drive per orientation).
 //
 // Bit-identity with EncodeRef: the counts are the exact integers the
-// reference's Part derives per partition, and three arms turn them into
-// the reference's decisions.
+// reference's Part derives per partition, whichever derivation yields
+// them, and three arms, one fixed per bind, turn them into the
+// reference's decisions.
 //
 //   - Integer objectives (flips, ones) are small exact integers in
 //     float64, so they are summed and compared as integers, all lanes at
@@ -46,9 +69,10 @@ package coset
 //     order and then the index bits in bit order: the same float
 //     operations, in the same order, on the same values.
 //
-// Every arm keeps the reference's tie-breaks: a partition takes the
-// complemented kernel only when it is strictly cheaper, and the
-// incumbent moves only on a strict improvement, in kernel order.
+// So every key and every etab index is the integer the six-count
+// derivation gives. Every arm keeps the reference's tie-breaks: a partition takes the complemented kernel
+// only when it is strictly cheaper, and the incumbent moves only on a
+// strict improvement, in kernel order.
 
 import (
 	"math"
@@ -68,10 +92,56 @@ type lanePop struct {
 }
 
 func (g lanePop) count(x uint64) uint64 {
-	x -= x >> 1 & 0x5555555555555555
+	return g.fields(x - x>>1&evenBits)
+}
+
+// fields is count from its second step on: it sums x's 2-bit fields as
+// integers. An MLC cell mask has only even bits set, so each of its
+// fields already holds its own bit count and fields counts its cells.
+func (g lanePop) fields(x uint64) uint64 {
 	x = x&0x3333333333333333 + x>>2&0x3333333333333333
 	x = (x + x>>4) & 0x0F0F0F0F0F0F0F0F
 	return x * g.mul >> (g.shift & 63) & g.low
+}
+
+// evenBits holds the right-digit (drive) bit of every MLC cell. A cell's
+// change flag is (x | x>>1) & evenBits: its right-digit bit of the
+// changed bits x with the left digit's folded in.
+const evenBits = 0x5555555555555555
+
+// laneKind is how the energy arms derive a word's lane counts. BindLine
+// fixes one kind for words with a known stuck cell and one for words
+// without (stuckKind, freeKind); the arms pick between them per word.
+type laneKind uint8
+
+const (
+	kindStuck       laneKind = iota // six counts from bits (SLC)
+	kindStuckFields                 // six counts from 2-bit fields (MLC)
+	kindPair                        // two counts from bits (stuck-free SLC)
+	kindPairFields                  // two from 2-bit fields (stuck-free MLC plane)
+	kindFour                        // four from 2-bit fields (stuck-free full-word MLC)
+)
+
+// laneWord returns how the energy arms derive the bound word's counts
+// and, for the pair kinds, the masks M1 = F &^ o | e and M2 = o | e with
+// their lane counts (see the file comment). Only a word with no known
+// stuck cell anywhere on the plane is stuck-free: on the MLC plane a
+// stuck left digit still changes its cell's stored value and SAW.
+func (sc *SlicedCtx) laneWord() (kind laneKind, m1, m2, n1, n2 uint64) {
+	if sc.wStuckMask != 0 {
+		return sc.stuckKind, 0, 0, 0, 0
+	}
+	if sc.freeKind == kindFour {
+		return kindFour, 0, 0, 0, 0
+	}
+	f := sc.flipMask
+	o := sc.wOld & f
+	var e uint64
+	if sc.mlcPlane {
+		e = (sc.wOld ^ sc.wLeft) >> 1 & f
+	}
+	m1, m2 = f&^o|e, o|e
+	return sc.freeKind, m1, m2, sc.pop.count(m1), sc.pop.count(m2)
 }
 
 // laneSel picks, in every lane at once, the cheaper of two packed costs.
@@ -123,7 +193,8 @@ func laneTotal(x uint64, k int) uint64 {
 // takes lanes of 8, 16, 32 or 64 bits holding fewer than 64 cells (so
 // the etab index fits): full-word m of 8, 16 and 32 (and 64 on MLC),
 // and the MLC plane at m of 4, 8, 16 and 32. Other geometries leave
-// lane at 0.
+// lane at 0. It also fixes the energy arms' count derivations for words
+// with and without stuck cells, from the cell mode and the plane.
 func (sc *SlicedCtx) bindLanes() {
 	L := sc.m
 	sc.flipMask = bitutil.Mask(sc.p * sc.m)
@@ -134,10 +205,13 @@ func (sc *SlicedCtx) bindLanes() {
 		sc.wordMask = bitutil.Mask(2 * sc.p * sc.m)
 	}
 	sc.cells = L
-	sc.cellMask, sc.cellShift = ^uint64(0), 0
+	sc.stuckKind, sc.freeKind = kindStuck, kindPair
 	if sc.mode == pcm.MLC {
 		sc.cells = L / 2
-		sc.cellMask, sc.cellShift = 0x5555555555555555, 1
+		sc.stuckKind, sc.freeKind = kindStuckFields, kindPairFields
+		if !sc.mlcPlane {
+			sc.freeKind = kindFour
+		}
 	}
 	sc.lane = 0
 	if sc.cells >= 64 || L < 8 || L&(L-1) != 0 {
@@ -295,7 +369,7 @@ func (c *VCC) encodeLanes(d, left uint64, sc *SlicedCtx) (uint64, uint64) {
 func (c *VCC) laneScanCounts(base uint64, imgs []uint64, sc *SlicedCtx) (int, uint64) {
 	L, g, s := sc.lane, sc.pop, sc.sel
 	old, sm, sv, f := sc.wOld, sc.wStuckMask, sc.wStuckVal, sc.flipMask
-	fns, cm, cs := f&^sm, sc.cellMask, sc.cellShift&63
+	fns := f &^ sm
 	// Flag-bit aux costs per lane; the index bits cost one per bit that
 	// differs from idxOld.
 	var a0, a1 uint64
@@ -312,18 +386,24 @@ func (c *VCC) laneScanCounts(base uint64, imgs []uint64, sc *SlicedCtx) (int, ui
 	}
 	idxMask := bitutil.Mask(c.AuxBits() - c.p)
 	top := uint(c.p-1) * L & 63
+	mlc := sc.mode == pcm.MLC
 	bestI, bestCost, bestLT := 0, 0, uint64(0)
 	for i, img := range imgs {
 		v := base ^ img
 		var c0, c1 uint64
-		if ones {
+		switch {
+		case ones:
 			n0 := g.count(v & f)
 			c0, c1 = n0+a0, a1-n0
-		} else {
+		case mlc:
 			x0 := (v&^sm | sv) ^ old
 			x1 := x0 ^ fns
-			c0 = g.count((x0|x0>>cs)&cm) + a0
-			c1 = g.count((x1|x1>>cs)&cm) + a1
+			c0 = g.fields((x0|x0>>1)&evenBits) + a0
+			c1 = g.fields((x1|x1>>1)&evenBits) + a1
+		default:
+			x0 := (v&^sm | sv) ^ old
+			c0 = g.count(x0) + a0
+			c1 = g.count(x0^fns) + a1
 		}
 		lt := s.less(c0, c1)
 		low := s.pick(c0, c1, lt)
@@ -342,11 +422,14 @@ func (c *VCC) laneScanCounts(base uint64, imgs []uint64, sc *SlicedCtx) (int, ui
 // laneSel.less picks every partition's orientation, laneTotal sums the
 // chosen keys into the kernel's key, and two population counts price the
 // index bits, each set bit written over a 0 at qHi and each cleared bit
-// written over a 1 at qLo, as Evaluator.AuxBit does.
+// written over a 1 at qLo, as Evaluator.AuxBit does. On a stuck-free
+// word with a drive-bit pair, a lane's two keys add up to the same kk in
+// every kernel (hi0 + hi1 = pop(M1), lo0 + lo1 = pop(M2)), so k1 is
+// kk - k0.
 func (c *VCC) laneScanKeys(base uint64, imgs []uint64, sc *SlicedCtx) (int, uint64) {
 	L, g, s, k := sc.lane, sc.pop, sc.sel, sc.foldFrom
 	old, sm, sv, f := sc.wOld, sc.wStuckMask, sc.wStuckVal, sc.flipMask
-	fns, fs, cm, cs := f&^sm, f&sm, sc.cellMask, sc.cellShift&63
+	fns, fs := f&^sm, f&sm
 	qh, ql, ss := sc.qHi, sc.qLo, sc.keyS&63
 	// Flag-bit aux energies per lane: writing 0 over an old 1 costs qLo,
 	// writing 1 over an old 0 costs qHi.
@@ -355,21 +438,44 @@ func (c *VCC) laneScanKeys(base uint64, imgs []uint64, sc *SlicedCtx) (int, uint
 		ol |= sc.oldAux >> uint(j) & 1 << (uint(j) * L & 63)
 	}
 	a0, a1 := ol*ql, (s.one^ol)*qh
+	kind, m1, m2, n1, n2 := sc.laneWord()
+	kk := n1*qh + n2*ql + a0 + a1
 	idxOld := sc.oldAux >> uint(c.p)
 	idxMask := bitutil.Mask(c.AuxBits() - c.p)
 	bestI, bestCost, bestLT := 0, uint64(0), uint64(0)
 	for i, img := range imgs {
 		v := base ^ img
-		st0 := v&^sm | sv
-		x0 := st0 ^ old
-		st1 := st0 ^ fns
-		x1 := x0 ^ fns
-		w0 := (v ^ sv) & sm
-		w1 := w0 ^ fs
-		ch0 := (x0 | x0>>cs) & cm
-		ch1 := (x1 | x1>>cs) & cm
-		k0 := g.count(ch0&st0)*qh + g.count(ch0&^st0)*ql + g.count((w0|w0>>cs)&cm)<<ss + a0
-		k1 := g.count(ch1&st1)*qh + g.count(ch1&^st1)*ql + g.count((w1|w1>>cs)&cm)<<ss + a1
+		var k0, k1 uint64
+		switch kind {
+		case kindPair:
+			k0 = g.count(v&m1)*qh + (n2-g.count(v&m2))*ql + a0
+			k1 = kk - k0
+		case kindPairFields:
+			k0 = g.fields(v&m1)*qh + (n2-g.fields(v&m2))*ql + a0
+			k1 = kk - k0
+		case kindFour:
+			x0 := v ^ old
+			x1 := x0 ^ f
+			ch0, ch1 := (x0|x0>>1)&evenBits, (x1|x1>>1)&evenBits
+			k0 = g.fields(ch0&v)*qh + g.fields(ch0&^v)*ql + a0
+			k1 = g.fields(ch1&^v)*qh + g.fields(ch1&v)*ql + a1
+		case kindStuck:
+			st0 := v&^sm | sv
+			x0 := st0 ^ old
+			st1, x1 := st0^fns, x0^fns
+			w0 := (v ^ sv) & sm
+			k0 = g.count(x0&st0)*qh + g.count(x0&^st0)*ql + g.count(w0)<<ss + a0
+			k1 = g.count(x1&st1)*qh + g.count(x1&^st1)*ql + g.count(w0^fs)<<ss + a1
+		default:
+			st0 := v&^sm | sv
+			x0 := st0 ^ old
+			st1, x1 := st0^fns, x0^fns
+			w0 := (v ^ sv) & sm
+			w1 := w0 ^ fs
+			ch0, ch1 := (x0|x0>>1)&evenBits, (x1|x1>>1)&evenBits
+			k0 = g.fields(ch0&st0)*qh + g.fields(ch0&^st0)*ql + g.fields((w0|w0>>1)&evenBits)<<ss + a0
+			k1 = g.fields(ch1&st1)*qh + g.fields(ch1&^st1)*ql + g.fields((w1|w1>>1)&evenBits)<<ss + a1
+		}
 		lt := s.less(k0, k1)
 		ui := uint64(i)
 		cost := laneTotal(s.pick(k0, k1, lt), k) +
@@ -384,11 +490,13 @@ func (c *VCC) laneScanKeys(base uint64, imgs []uint64, sc *SlicedCtx) (int, uint
 
 // laneScanEnergy prices the two energy objectives on float energies.
 // Energies are float sums, so each partition is selected and added in
-// partition order.
+// partition order. It derives each word's counts as laneScanKeys does;
+// on a stuck-free word both SAW counts are 0.
 func (c *VCC) laneScanEnergy(base uint64, imgs []uint64, sc *SlicedCtx) (int, uint64) {
 	L, g, p := sc.lane, sc.pop, c.p
 	old, sm, sv, f := sc.wOld, sc.wStuckMask, sc.wStuckVal, sc.flipMask
-	fns, fs, cm, cs := f&^sm, f&sm, sc.cellMask, sc.cellShift&63
+	fns, fs := f&^sm, f&sm
+	kind, m1, m2, n1, n2 := sc.laneWord()
 	sawFirst := sc.obj == ObjSAWEnergy
 	// aux[o][v] is the energy of writing aux bit v over old bit o.
 	var aux [2][2]float64
@@ -413,17 +521,37 @@ func (c *VCC) laneScanEnergy(base uint64, imgs []uint64, sc *SlicedCtx) (int, ui
 	var best Pair
 	for i, img := range imgs {
 		v := base ^ img
-		st0 := v&^sm | sv
-		x0 := st0 ^ old
-		st1 := st0 ^ fns
-		x1 := x0 ^ fns
-		w0 := (v ^ sv) & sm
-		w1 := w0 ^ fs
-		ch0 := (x0 | x0>>cs) & cm
-		ch1 := (x1 | x1>>cs) & cm
-		hi0, lo0 := g.count(ch0&st0), g.count(ch0&^st0)
-		hi1, lo1 := g.count(ch1&st1), g.count(ch1&^st1)
-		saw0, saw1 := g.count((w0|w0>>cs)&cm), g.count((w1|w1>>cs)&cm)
+		var hi0, lo0, saw0, hi1, lo1, saw1 uint64
+		switch kind {
+		case kindPair:
+			hi0, lo1 = g.count(v&m1), g.count(v&m2)
+			lo0, hi1 = n2-lo1, n1-hi0
+		case kindPairFields:
+			hi0, lo1 = g.fields(v&m1), g.fields(v&m2)
+			lo0, hi1 = n2-lo1, n1-hi0
+		case kindFour:
+			x0 := v ^ old
+			x1 := x0 ^ f
+			ch0, ch1 := (x0|x0>>1)&evenBits, (x1|x1>>1)&evenBits
+			hi0, lo0 = g.fields(ch0&v), g.fields(ch0&^v)
+			hi1, lo1 = g.fields(ch1&^v), g.fields(ch1&v)
+		case kindStuck:
+			st0 := v&^sm | sv
+			x0 := st0 ^ old
+			st1, x1 := st0^fns, x0^fns
+			w0 := (v ^ sv) & sm
+			hi0, lo0, saw0 = g.count(x0&st0), g.count(x0&^st0), g.count(w0)
+			hi1, lo1, saw1 = g.count(x1&st1), g.count(x1&^st1), g.count(w0^fs)
+		default:
+			st0 := v&^sm | sv
+			x0 := st0 ^ old
+			st1, x1 := st0^fns, x0^fns
+			w0 := (v ^ sv) & sm
+			w1 := w0 ^ fs
+			ch0, ch1 := (x0|x0>>1)&evenBits, (x1|x1>>1)&evenBits
+			hi0, lo0, saw0 = g.fields(ch0&st0), g.fields(ch0&^st0), g.fields((w0|w0>>1)&evenBits)
+			hi1, lo1, saw1 = g.fields(ch1&st1), g.fields(ch1&^st1), g.fields((w1|w1>>1)&evenBits)
+		}
 		if wide {
 			// Each lane holds its etab index: hi | lo<<6 fits 12 bits.
 			hi0 |= lo0 << 6
