@@ -22,7 +22,7 @@ import (
 //
 // Every ring context carries stuck cells, but the benchmark workloads
 // encode almost only stuck-free words (all of write-uniform-energy's and
-// served-uniform-rw's, 97.7% of aged-remap-saw's), which the energy arms
+// served-uniform-rw's, 97.2% of aged-remap-saw's), which the energy arms
 // price by a shorter derivation. So the three encodes the workloads run
 // also time the same ring with every stuck cell cleared, under
 // <codec>/<cell>/<objective>/stuck-free/{fast,ref}.

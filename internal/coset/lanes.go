@@ -466,7 +466,7 @@ func (c *VCC) laneScanKeys(base uint64, imgs []uint64, sc *SlicedCtx) (int, uint
 			w0 := (v ^ sv) & sm
 			k0 = g.count(x0&st0)*qh + g.count(x0&^st0)*ql + g.count(w0)<<ss + a0
 			k1 = g.count(x1&st1)*qh + g.count(x1&^st1)*ql + g.count(w0^fs)<<ss + a1
-		default:
+		default: // kindStuckFields
 			st0 := v&^sm | sv
 			x0 := st0 ^ old
 			st1, x1 := st0^fns, x0^fns
@@ -542,7 +542,7 @@ func (c *VCC) laneScanEnergy(base uint64, imgs []uint64, sc *SlicedCtx) (int, ui
 			w0 := (v ^ sv) & sm
 			hi0, lo0, saw0 = g.count(x0&st0), g.count(x0&^st0), g.count(w0)
 			hi1, lo1, saw1 = g.count(x1&st1), g.count(x1&^st1), g.count(w0^fs)
-		default:
+		default: // kindStuckFields
 			st0 := v&^sm | sv
 			x0 := st0 ^ old
 			st1, x1 := st0^fns, x0^fns
